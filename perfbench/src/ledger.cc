@@ -17,7 +17,9 @@
 //      train::Evaluate), serving (TopKFromScores, RecommendBatch, a traced
 //      ModelServer), state (StateStore::Append/Compact) and the cluster
 //      (route/attempt spans from the library's tracer);
-//   5. tracing overhead: the workload's own operation traced vs untraced.
+//   5. tracing overhead: the workload's own operation traced vs untraced;
+//   6. on serve_mixed, the serve_max_rps search on an untraced fleet (an
+//      info line, not a per-layer metric).
 //
 // Spans stay in memory and are written at the end as Chrome Trace Event
 // JSON; a self-time table per layer is printed.
@@ -234,6 +236,108 @@ void KernelArms(Report* report, Checks* checks, SpanLog* log) {
   work("compute.logits_matmul", lg_m, lg_k, lg_n);
   (void)slm::compute::SetKernelBackend(saved_backend);
   slm::compute::SetNumThreads(saved_threads);
+}
+
+// serve_max_rps: the limits an offered rate must meet, and the search.
+constexpr double kServeLimitMs = 10.0;  // read p99
+constexpr double kMaxFailureShare = 0.001;
+constexpr double kMaxFinalLagMs = 5.0;  // generator lateness = backlog
+constexpr double kBracketStep = 1.3;
+constexpr double kStairFirstStep = 1.08;
+constexpr double kStairStep = 1.03;
+constexpr size_t kStairMinSegments = 20;
+constexpr double kSegmentSeconds = 0.3;
+
+bool Sustained(const OpenLoopResult& r) {
+  if (r.attempted() == 0) return false;
+  // Failed reads miss the latency limit by definition.
+  std::vector<double> lat = r.read_ms;
+  lat.insert(lat.end(), static_cast<size_t>(r.read_failures), 1e300);
+  return !lat.empty() && Quantile(lat, 0.99) <= kServeLimitMs &&
+         r.failures() <= kMaxFailureShare * r.attempted() &&
+         r.final_lag_ms <= kMaxFinalLagMs;
+}
+
+/// Prints serve_max_rps, the highest offered rate with read p99 <= 10 ms,
+/// <= 0.1% failed operations and no growing backlog, searched on an
+/// untraced fleet for about `seconds`. A coarse ramp (x1.3, one 0.3 s
+/// segment per rate, until two misses in a row) finds a starting point; an
+/// up-down staircase then steps the rate up after every sustained segment
+/// and down after every missed one, so it settles where half the segments
+/// meet the limits. The estimate is the geometric mean of the rates the
+/// staircase visits after it has settled: no single unlucky segment moves
+/// it by more than a fraction of a step.
+void ReportMaxRps(Fleet* fleet, const RunOptions& opt, double seconds,
+                  Report* report, Checks* checks) {
+  const int64_t search_start = NowNanos();
+  int64_t segments = 0;
+  int64_t probe_ops = 0;
+  int64_t probe_failures = 0;
+  double ratio_sum = 0;
+  int64_t ratio_n = 0;
+  const auto segment = [&](double rate) {
+    const OpenLoopResult r = RunOpenLoop(
+        fleet, rate, kSegmentSeconds,
+        DeriveSeed(opt.seed, 0x5eed0000ull + ++segments), ClientThreads(),
+        nullptr, 8, 1 << 30, checks, nullptr);
+    const bool sustained = Sustained(r);
+    if (sustained) {
+      report->CountOps(r.attempted(), r.failures());
+      ratio_sum += r.achieved_rate() / rate;
+      ++ratio_n;
+    } else {
+      probe_ops += r.attempted();
+      probe_failures += r.failures();
+    }
+    return sustained;
+  };
+  double rate = opt.serve_rate;
+  double start = 0;
+  for (int misses = 0; misses < 2; rate *= kBracketStep) {
+    if (segment(rate)) {
+      start = rate;
+      misses = 0;
+    } else {
+      ++misses;
+    }
+  }
+  for (rate = opt.serve_rate / kBracketStep;
+       start == 0 && rate * kSegmentSeconds >= 20; rate /= kBracketStep) {
+    if (segment(rate)) start = rate;
+  }
+  rate = start;
+  double step = kStairFirstStep;
+  bool last_up = true;
+  std::vector<double> visited;
+  while (start > 0 &&
+         (visited.size() < kStairMinSegments ||
+          (NowNanos() - search_start) / 1e9 + kSegmentSeconds < seconds)) {
+    visited.push_back(rate);
+    const bool up = segment(rate);
+    if (up != last_up) step = kStairStep;  // a reversal: fine steps from now
+    last_up = up;
+    rate = up ? rate * step : rate / step;
+  }
+  report->Info("overload_probe_ops", static_cast<double>(probe_ops), "count",
+               std::to_string(probe_failures) +
+                   " failed in unsustained search segments (not counted)");
+  if (visited.empty()) {
+    std::printf("info   serve_max_rps not found: no offered rate met the "
+                "serving limit\n");
+    return;
+  }
+  // The settled half of the staircase; offered rates convert to achieved
+  // ones by the measured ratio.
+  double log_sum = 0;
+  const size_t from = visited.size() / 2;
+  for (size_t i = from; i < visited.size(); ++i) log_sum += std::log(visited[i]);
+  const double max_rps = std::exp(log_sum / (visited.size() - from)) *
+                         (ratio_n > 0 ? ratio_sum / ratio_n : 1.0);
+  report->Info("serve_max_rps", max_rps, "req/s",
+               "read p99 <= 10 ms, <= 0.1% failed, no growing backlog; "
+               "staircase over " + std::to_string(visited.size()) +
+                   " segments of " + FormatDouble(kSegmentSeconds) +
+                   " s from " + FormatDouble(start) + " ops/s");
 }
 
 void PrintSelfTimes(const std::string& title, const SpanLog& log) {
@@ -542,6 +646,12 @@ void RunLedger(const RunOptions& opt, Report* report, Checks* checks) {
     report->CountOps(r.attempted(), r.failures());
     (traced_fleet ? traced_loop : plain_loop) = std::move(r);
   }
+  if (serve) {
+    Fleet fleet = StartFleet(split, config,
+                             MakeFreshDir(opt.tmp_dir, "ledger-max-rps"),
+                             nullptr, nullptr, checks);
+    ReportMaxRps(&fleet, opt, 0.3 * opt.seconds, report, checks);
+  }
   {
     std::vector<slm::obs::Trace> cluster_traces, other;
     for (auto& t : cluster_tracer.Traces()) {
@@ -652,6 +762,10 @@ void RunLedger(const RunOptions& opt, Report* report, Checks* checks) {
   report->Metric("state.compact_ms", Median(compact_ms), "ms");
   report->Metric("bench.trace_overhead_ratio", overhead, "ratio",
                  overhead_note);
+  report->Metric("bench.gen_lag_p99_ms", Quantile(traced_loop.lag_ms, 0.99),
+                 "ms",
+                 "traced open loop at " + FormatDouble(rate) + " ops/s, " +
+                     Summarize(traced_loop.lag_ms).Describe("ms"));
 
   // Informational counts (may legitimately be zero).
   report->Info("serving.tier_full", static_cast<double>(tier_full), "count");
@@ -668,10 +782,6 @@ void RunLedger(const RunOptions& opt, Report* report, Checks* checks) {
   if (!append_us.empty()) {
     report->Info("state.append_p99_us", Quantile(append_us, 0.99), "us",
                  Summarize(append_us).Describe("us"));
-  }
-  if (!traced_loop.lag_ms.empty()) {
-    const LatencySummary lag = Summarize(traced_loop.lag_ms);
-    report->Info("bench.gen_lag_tail_ms", lag.tail, "ms", lag.Describe("ms"));
   }
   report->Info("train.untraced_step_ms", Median(untraced_step_ms), "ms");
 

@@ -292,13 +292,13 @@ struct Arrival {
   uint64_t pick;     // writes: which history item to interact with again
 };
 
-/// One answered read, checked after the segment so validation never
-/// delays the generator. Histories only grow, so the history the read saw
-/// is the prefix of the final one of length `history_len`.
+/// One answered read kept for comparison with direct RecommendBatch
+/// output after the segment, so the model replay never delays the
+/// generator. Histories only grow, so the history the read saw is the
+/// prefix of the final one of length `history_len`.
 struct Answer {
   uint64_t user;
   size_t history_len;
-  bool compare_direct;
   std::vector<slm::serving::Recommendation> items;
 };
 
@@ -348,6 +348,11 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
     OpenLoopResult r;
     int64_t last_done = 0;
     std::vector<Answer> answers;
+    // Per user of this client: the history prefix folded in, its items.
+    std::unordered_map<uint64_t, std::pair<size_t, std::unordered_set<int64_t>>>
+        seen;
+    int64_t validated = 0;
+    int64_t invalid = 0;
     std::vector<Span> tree;
     std::vector<std::pair<int64_t, double>> lags;  // (scheduled, lag ms)
   };
@@ -378,6 +383,7 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
           auto ack = fleet->server->AppendEvent(a.user, {item});
           const int64_t done = NowNanos();
           pc.r.op_cpu_nanos += ThreadCpuNanos() - cpu0;
+          pc.r.op_busy_nanos += done - issued;
           pc.last_done = done;
           if (ack.ok()) {
             history.push_back(item);
@@ -393,6 +399,7 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
         auto resp = fleet->server->ServeSession(a.user, request);
         const int64_t done = NowNanos();
         pc.r.op_cpu_nanos += ThreadCpuNanos() - cpu0;
+        pc.r.op_busy_nanos += done - issued;
         pc.last_done = done;
         if (spans) pc.tree.push_back({"bench.read", issued, done, -1, 0});
         if (!resp.ok()) {
@@ -415,13 +422,24 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
             ++pc.r.fallback_tier;
             break;
         }
+        // Validation runs after the operation's completion time is taken;
+        // a client owns its users, so their histories are stable here.
         const int64_t nth = reads_seen++;
         if (nth % validate_every == 0) {
+          auto& [folded, items] = pc.seen[a.user];
+          for (; folded < history.size(); ++folded) items.insert(history[folded]);
+          std::string why;
+          ++pc.validated;
+          if (!ValidList(resp.value().items, fleet->num_items, items, &why) &&
+              pc.invalid++ < 5) {
+            checks->Expect(false, "served list for user " +
+                                      std::to_string(a.user) + ": " + why);
+          }
+        }
+        if (reference != nullptr && nth % sample_every == 0 &&
+            resp.value().tier == slm::serving::ServeTier::kFullModel) {
           pc.answers.push_back(
-              {a.user, history.size(),
-               resp.value().tier == slm::serving::ServeTier::kFullModel &&
-                   nth % sample_every == 0,
-               std::move(resp.value().items)});
+              {a.user, history.size(), std::move(resp.value().items)});
         }
       }
     });
@@ -443,6 +461,7 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
     out.read_ms.insert(out.read_ms.end(), pc.r.read_ms.begin(),
                        pc.r.read_ms.end());
     out.op_cpu_nanos += pc.r.op_cpu_nanos;
+    out.op_busy_nanos += pc.r.op_busy_nanos;
     out.fresh_read_ms.insert(out.fresh_read_ms.end(),
                              pc.r.fresh_read_ms.begin(),
                              pc.r.fresh_read_ms.end());
@@ -462,43 +481,29 @@ OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
   }
   out.final_lag_ms = tail_lags.empty() ? 0.0 : Median(tail_lags);
 
-  // Every kept answer must be a valid list for the history it saw, and the
-  // sampled ones must match direct RecommendationService output from an
-  // identically built model bit for bit.
-  std::unique_ptr<slm::serving::RecommendationService> direct;
-  if (reference != nullptr) {
-    direct = std::make_unique<slm::serving::RecommendationService>(reference);
-  }
-  std::unordered_map<uint64_t, std::pair<size_t, std::unordered_set<int64_t>>>
-      seen;  // user -> (history prefix folded in, its items)
+  // The sampled answers must match direct RecommendationService output from
+  // an identically built model bit for bit.
   int64_t invalid = 0;
   for (const PerClient& pc : per) {
-    for (const Answer& ans : pc.answers) {
-      const std::vector<int64_t>& history = fleet->histories[ans.user];
-      auto& [folded, items] = seen[ans.user];
-      for (; folded < ans.history_len; ++folded) items.insert(history[folded]);
-      std::string why;
-      if (!ValidList(ans.items, fleet->num_items, items, &why) &&
-          invalid++ < 5) {
-        checks->Expect(false, "served list for user " +
-                                  std::to_string(ans.user) + ": " + why);
-      }
-      if (direct != nullptr && ans.compare_direct) {
+    out.validated += pc.validated;
+    invalid += pc.invalid;
+  }
+  checks->Expect(invalid == 0, std::to_string(invalid) + " invalid lists");
+  if (reference != nullptr) {
+    slm::serving::RecommendationService direct(reference);
+    for (const PerClient& pc : per) {
+      for (const Answer& ans : pc.answers) {
+        const std::vector<int64_t>& history = fleet->histories[ans.user];
         const std::vector<int64_t> prefix(
             history.begin(),
             history.begin() + static_cast<std::ptrdiff_t>(ans.history_len));
-        auto want = direct->RecommendBatch({prefix}, request.options);
+        auto want = direct.RecommendBatch({prefix}, request.options);
         checks->Expect(want.ok() && SameList(want.value()[0], ans.items),
                        "served list for user " + std::to_string(ans.user) +
                            " differs from direct RecommendBatch");
         ++out.checked_against_direct;
       }
     }
-  }
-  checks->Expect(invalid <= 5, std::to_string(invalid) + " invalid lists");
-  out.validated = 0;
-  for (const PerClient& pc : per) {
-    out.validated += static_cast<int64_t>(pc.answers.size());
   }
   return out;
 }

@@ -115,6 +115,10 @@ struct OpenLoopResult {
   /// Client-thread CPU time spent inside the operations (time blocked on a
   /// lock or a disk barrier, or taken by the host, is not CPU time).
   int64_t op_cpu_nanos = 0;
+  /// Client-thread wall time spent inside the operations, from issue to
+  /// return: time blocked on a lock or a disk barrier counts, time spent
+  /// waiting for the next arrival does not.
+  int64_t op_busy_nanos = 0;
   int64_t validated = 0;  // answered reads whose lists were checked
   int64_t checked_against_direct = 0;
   int64_t failures() const { return read_failures + write_failures; }
@@ -123,9 +127,14 @@ struct OpenLoopResult {
     return wall_seconds > 0 ? attempted() / wall_seconds : 0.0;
   }
   /// Operations per second of client CPU: what one fully busy client
-  /// thread would complete.
+  /// thread would complete if it never blocked.
   double ops_per_cpu_second() const {
     return op_cpu_nanos > 0 ? attempted() / (op_cpu_nanos / 1e9) : 0.0;
+  }
+  /// Operations per second of client busy time: what one client thread
+  /// kept busy would complete.
+  double ops_per_busy_second() const {
+    return op_busy_nanos > 0 ? attempted() / (op_busy_nanos / 1e9) : 0.0;
   }
 };
 
@@ -135,9 +144,10 @@ struct OpenLoopResult {
 /// the user's history). Users are partitioned over `clients` threads so a
 /// user's operations stay ordered and the benchmark knows each history
 /// exactly (and which reads must miss the session cache). Every
-/// `validate_every`-th answered read is checked after the segment, and
-/// every `sample_every`-th full-model read is also compared with direct
-/// RecommendationService output from `reference`.
+/// `validate_every`-th answered read is checked on its client thread once
+/// its latency is taken, and every `sample_every`-th full-model read is
+/// compared after the segment with direct RecommendationService output
+/// from `reference` (when set).
 /// With `spans` set, each operation is recorded as a span on its client's
 /// lane.
 OpenLoopResult RunOpenLoop(Fleet* fleet, double rate, double seconds,
