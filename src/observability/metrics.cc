@@ -33,7 +33,6 @@ void Histogram::Observe(int64_t value) {
 }
 
 Counter MetricsRegistry::counter(const std::string& name) {
-  if (!enabled_) return Counter();
   std::lock_guard<std::mutex> lock(mu_);
   SLIME_CHECK_MSG(gauges_.find(name) == gauges_.end(),
               "metric name already registered as a gauge");
@@ -49,7 +48,6 @@ Counter MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name) {
-  if (!enabled_) return Gauge();
   std::lock_guard<std::mutex> lock(mu_);
   SLIME_CHECK_MSG(counters_.find(name) == counters_.end(),
               "metric name already registered as a counter");
@@ -65,7 +63,6 @@ Gauge MetricsRegistry::gauge(const std::string& name) {
 
 Histogram MetricsRegistry::histogram(const std::string& name,
                                      std::vector<int64_t> bounds) {
-  if (!enabled_) return Histogram();
   if (bounds.empty()) bounds = DefaultLatencyBounds();
   for (size_t i = 1; i < bounds.size(); ++i) {
     SLIME_CHECK_MSG(bounds[i - 1] < bounds[i],

@@ -23,10 +23,7 @@ namespace obs {
 ///     value types holding a raw pointer into registry-owned storage; an
 ///     increment is one relaxed atomic RMW, no lock, no map lookup. The
 ///     registry mutex is only taken at handle-creation and snapshot time.
-///  2. **Provably near-free when disabled.** A handle from a disabled
-///     registry (NoopRegistry) carries a null slot pointer; every operation
-///     is a single predictable branch. bench_serving gates on this.
-///  3. **Deterministic snapshots.** All state is integer (counts, sums,
+///  2. **Deterministic snapshots.** All state is integer (counts, sums,
 ///     nanosecond values); percentile extraction is integer arithmetic over
 ///     fixed buckets, so two runs feeding identical observation sequences
 ///     (e.g. under a FakeClock) produce bit-identical snapshots at any
@@ -53,8 +50,8 @@ struct HistogramCell {
 
 }  // namespace internal
 
-/// Monotone event counter. Default-constructed or noop-registry handles are
-/// detached: Increment is a no-op and value() reads 0.
+/// Monotone event counter. Default-constructed handles are detached:
+/// Increment is a no-op and value() reads 0.
 class Counter {
  public:
   Counter() = default;
@@ -162,13 +159,9 @@ int64_t HistogramPercentile(const HistogramValue& h, int64_t p);
 /// (deque/unique_ptr cells), so handles may be freely copied and cached.
 class MetricsRegistry {
  public:
-  /// `enabled = false` builds a registry whose handles are all detached —
-  /// the NoopRegistry. Snapshot() of a disabled registry is empty.
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// Returns the handle for `name`, creating the metric on first use.
   /// Requesting the same name twice returns handles over the same storage;
@@ -189,21 +182,11 @@ class MetricsRegistry {
   static const std::vector<int64_t>& DefaultLatencyBounds();
 
  private:
-  const bool enabled_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<std::atomic<int64_t>>> counters_;
   std::map<std::string, std::unique_ptr<std::atomic<int64_t>>> gauges_;
   std::map<std::string, std::unique_ptr<internal::HistogramCell>>
       histograms_;
-};
-
-/// The always-disabled registry, for explicitly opting a subsystem out of
-/// instrumentation (the "metrics off" arm of the bench gate). Handles from
-/// it are detached; the serve path through them must stay within noise of
-/// the un-instrumented baseline.
-class NoopRegistry : public MetricsRegistry {
- public:
-  NoopRegistry() : MetricsRegistry(false) {}
 };
 
 }  // namespace obs

@@ -72,9 +72,8 @@ ModelServer::ModelServer(const ModelServerOptions& options,
   SLIME_CHECK_GE(options_.min_model_budget_nanos, 0);
   SLIME_CHECK_GE(options_.recovery_full_responses, 1);
   SLIME_CHECK_GE(options_.canary_top_k, 1);
-  // Metrics: publish into the caller's registry when provided (which may
-  // be a NoopRegistry to disable instrumentation), else into a private
-  // enabled registry so stats() is always live.
+  // Metrics: publish into the caller's registry when provided, else into a
+  // private registry so stats() is always live.
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {

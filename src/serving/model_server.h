@@ -74,9 +74,7 @@ struct ModelServerOptions {
   int64_t canary_top_k = 5;
   /// Metrics registry the server publishes its counters/gauges/histograms
   /// into (names under "serving."). nullptr: the server owns a private
-  /// enabled registry, so stats() always works. Pass an obs::NoopRegistry
-  /// to disable instrumentation entirely (stats() then reads zeros — the
-  /// bench overhead gate runs this configuration).
+  /// registry, so stats() always works.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional per-request tracer (admit → snapshot → tier passes, with
   /// tier-downgrade/shed annotations). nullptr disables tracing — the
@@ -133,8 +131,7 @@ struct BatchServeResponse {
 /// Cumulative counters since construction (monotone; sampled atomically
 /// field-by-field, so cross-field sums may be momentarily inconsistent
 /// under concurrent traffic). Since the observability layer landed this is
-/// a thin view over the server's registry-backed "serving.*" metrics; with
-/// an obs::NoopRegistry injected every field reads 0.
+/// a thin view over the server's registry-backed "serving.*" metrics.
 struct ServerStats {
   int64_t requests = 0;           // admitted Serve/ServeBatch calls
   int64_t served = 0;             // user rankings returned, any tier

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -23,6 +25,107 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = rng.UniformFloat() * 2.0f - 1.0f;
   return v;
+}
+
+/// Restores the default scalar backend when a test body returns.
+struct BackendGuard {
+  ~BackendGuard() { SetKernelBackend("scalar").value(); }
+};
+
+bool SimdAvailable() {
+  return SimdBackendCompiled() && CpuSupportsAvx2Fma();
+}
+
+/// One kernel call held to cross-thread bit-identity: `run` returns all of
+/// the call's output buffers, concatenated, under the active backend and
+/// thread count.
+struct KernelCase {
+  const char* name;
+  std::function<std::vector<float>()> run;
+};
+
+/// The kernels and shapes that must give the same bits at any thread
+/// count. The TransA case is the model's linear-layer weight gradient:
+/// k = B*N rows, m = n = d.
+std::vector<KernelCase> ThreadInvariantKernelCases() {
+  const auto matmul = [](int64_t m, int64_t k, int64_t n, uint64_t seed) {
+    return [=] {
+      const auto a = RandomVec(m * k, seed);
+      const auto b = RandomVec(k * n, seed + 1);
+      std::vector<float> c(m * n, 0.0f);
+      Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
+      return c;
+    };
+  };
+  return {
+      {"matmul 64x64x64", matmul(64, 64, 64, 31)},
+      {"matmul 33x47x70", matmul(33, 47, 70, 85)},
+      {"matmul_trans_a k=4096 m=32 n=32",
+       [] {
+         const int64_t k = 4096, m = 32, n = 32;
+         const auto a = RandomVec(k * m, 33);
+         const auto b = RandomVec(k * n, 34);
+         std::vector<float> c(m * n, 0.0f);
+         Dispatch().matmul_trans_a(a.data(), b.data(), c.data(), k, m, n);
+         return c;
+       }},
+      {"complex_mul 64x1024",
+       [] {
+         const int64_t repeats = 64, block = 1024;
+         const auto ar = RandomVec(repeats * block, 55);
+         const auto ai = RandomVec(repeats * block, 56);
+         const auto br = RandomVec(block, 57);
+         const auto bi = RandomVec(block, 58);
+         std::vector<float> out(2 * repeats * block);
+         Dispatch().complex_mul(ar.data(), ai.data(), br.data(), bi.data(),
+                                out.data(), out.data() + repeats * block,
+                                repeats, block);
+         return out;
+       }},
+      {"axpy 2^18",
+       [] {
+         const int64_t n = 1 << 18;
+         const auto a = RandomVec(n, 61);
+         std::vector<float> out(n, 1.0f);
+         Dispatch().axpy(out.data(), a.data(), 0.5f, n);
+         return out;
+       }},
+      {"adam_step 2^18",
+       [] {
+         const int64_t n = 1 << 18;
+         const auto g = RandomVec(n, 62);
+         AdamStepParams p;
+         p.bias_corr1 = 0.5f;
+         p.bias_corr2 = 0.1f;
+         std::vector<float> wmv(3 * n, 0.0f);
+         std::fill(wmv.begin(), wmv.begin() + n, 0.1f);
+         Dispatch().adam_step(wmv.data(), wmv.data() + n, wmv.data() + 2 * n,
+                              g.data(), n, p);
+         return wmv;
+       }},
+  };
+}
+
+/// Runs every ThreadInvariantKernelCases() entry under `backend` at 1
+/// thread, then at 2, 5 and 8, and requires the same output bits.
+void ExpectKernelsBitIdenticalAcrossThreadCounts(const std::string& backend) {
+  BackendGuard guard;
+  SetKernelBackend(backend).value();
+  for (const KernelCase& kc : ThreadInvariantKernelCases()) {
+    std::vector<float> ref;
+    {
+      ComputeContext ctx(1);
+      ref = kc.run();
+    }
+    for (int threads : {2, 5, 8}) {
+      ComputeContext ctx(threads);
+      const std::vector<float> got = kc.run();
+      ASSERT_EQ(ref.size(), got.size()) << kc.name;
+      EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
+                0)
+          << backend << " " << kc.name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, RunsEveryChunkExactlyOnce) {
@@ -164,22 +267,7 @@ TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
 }
 
 TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
-  const int64_t m = 64, k = 64, n = 64;
-  const auto a = RandomVec(m * k, 31);
-  const auto b = RandomVec(k * n, 32);
-  std::vector<float> ref(m * n, 0.0f);
-  {
-    ComputeContext ctx(1);
-    MatMulKernel(a.data(), b.data(), ref.data(), m, k, n);
-  }
-  for (int threads : {2, 5, 8}) {
-    ComputeContext ctx(threads);
-    std::vector<float> c(m * n, 0.0f);
-    MatMulKernel(a.data(), b.data(), c.data(), m, k, n);
-    EXPECT_EQ(std::memcmp(ref.data(), c.data(), ref.size() * sizeof(float)),
-              0)
-        << "threads=" << threads;
-  }
+  ExpectKernelsBitIdenticalAcrossThreadCounts("scalar");
 }
 
 TEST(KernelsTest, BatchMatMulSplitsAcrossItemBoundaries) {
@@ -487,15 +575,6 @@ TEST(KernelsTest, ZeroLengthBuffersAreNoOps) {
 
 // ---- Kernel backend registry (scalar / simd tiers).
 
-/// Restores the default scalar backend when a test body returns.
-struct BackendGuard {
-  ~BackendGuard() { SetKernelBackend("scalar").value(); }
-};
-
-bool SimdAvailable() {
-  return SimdBackendCompiled() && CpuSupportsAvx2Fma();
-}
-
 TEST(BackendTest, ParseAcceptsKnownNamesAndRejectsUnknown) {
   EXPECT_EQ(ParseKernelBackend("auto").value(), "auto");
   EXPECT_EQ(ParseKernelBackend("scalar").value(), "scalar");
@@ -579,24 +658,7 @@ TEST(SimdBackendTest, MatMulFamilyMatchesNaiveReference) {
 
 TEST(SimdBackendTest, MatMulBitIdenticalAcrossThreadCounts) {
   if (!SimdAvailable()) GTEST_SKIP() << "simd backend unavailable";
-  BackendGuard guard;
-  SetKernelBackend("simd").value();
-  const int64_t m = 33, k = 47, n = 70;  // non-divisible everything
-  const auto a = RandomVec(m * k, 85);
-  const auto b = RandomVec(k * n, 86);
-  std::vector<float> ref(m * n, 0.0f);
-  {
-    ComputeContext ctx(1);
-    Dispatch().matmul(a.data(), b.data(), ref.data(), m, k, n);
-  }
-  for (int threads : {2, 5, 8}) {
-    ComputeContext ctx(threads);
-    std::vector<float> c(m * n, 0.0f);
-    Dispatch().matmul(a.data(), b.data(), c.data(), m, k, n);
-    EXPECT_EQ(std::memcmp(ref.data(), c.data(), ref.size() * sizeof(float)),
-              0)
-        << "threads=" << threads;
-  }
+  ExpectKernelsBitIdenticalAcrossThreadCounts("simd");
 }
 
 TEST(SimdBackendTest, UnalignedOperandsMatchAlignedResults) {

@@ -652,30 +652,6 @@ TEST(ModelServerObservabilityTest, StatsAreThinViewsOverRegistry) {
   EXPECT_TRUE(found_hist);
 }
 
-TEST(ModelServerObservabilityTest, NoopRegistryServesNormallyReadsZeros) {
-  // Injecting the NoopRegistry turns instrumentation off: serving must be
-  // fully functional while every stats field reads zero (the documented
-  // trade of the disabled path).
-  FakeClock clock;
-  obs::NoopRegistry noop;
-  ModelServerOptions options;
-  options.metrics = &noop;
-  ModelServer server(options, nullptr, &clock);
-  ASSERT_TRUE(
-      server.Start(std::make_unique<ScriptedModel>(TinyConfig(), 0.0f))
-          .ok());
-  ServeRequest request;
-  request.history = {1, 2, 3};
-  request.options = Top3Unfiltered();
-  const auto response = server.Serve(request).value();
-  EXPECT_EQ(response.tier, ServeTier::kFullModel);
-  EXPECT_EQ(Items(response.items).size(), 3u);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 0);
-  EXPECT_EQ(stats.served, 0);
-  EXPECT_TRUE(noop.Snapshot().counters.empty());
-}
-
 TEST(ModelServerObservabilityTest, LadderTraceAnnotatesDowngrades) {
   // The deadline-blown ladder request must leave a complete trace: the
   // full-model span marked cancelled and the fallback span recording the
