@@ -12,6 +12,9 @@ namespace slime {
 namespace serving {
 namespace {
 
+/// Top-K used for canary validation during Start/Reload.
+constexpr int64_t kCanaryTopK = 5;
+
 /// Releases one admission slot on scope exit.
 class AdmissionRelease {
  public:
@@ -71,7 +74,6 @@ ModelServer::ModelServer(const ModelServerOptions& options,
   SLIME_CHECK_GE(options_.fast_path_history_len, 1);
   SLIME_CHECK_GE(options_.min_model_budget_nanos, 0);
   SLIME_CHECK_GE(options_.recovery_full_responses, 1);
-  SLIME_CHECK_GE(options_.canary_top_k, 1);
   // Metrics: publish into the caller's registry when provided, else into a
   // private registry so stats() is always live.
   if (options_.metrics != nullptr) {
@@ -126,22 +128,22 @@ Status ModelServer::ValidateCanaries(
     models::SequentialRecommender* candidate) {
   RecommendationService service(candidate);
   RecommendOptions options;
-  options.top_k = options_.canary_top_k;
+  options.top_k = kCanaryTopK;
   // Canary forward passes share the compute pool (and, in chaos tests, the
   // clock seam) with live traffic; take the inference lock like any other
   // forward pass so the two never interleave on the model-stateful path.
   std::lock_guard<std::mutex> lk(infer_mu_);
+  const Result<std::vector<std::vector<Recommendation>>> ranked =
+      service.RecommendBatch(canaries_, options);
+  if (!ranked.ok()) {
+    return Status::Aborted("canaries failed: " + ranked.status().ToString());
+  }
   for (size_t i = 0; i < canaries_.size(); ++i) {
     const std::string tag = "canary " + std::to_string(i);
-    const Result<std::vector<Recommendation>> ranked =
-        service.Recommend(canaries_[i], options);
-    if (!ranked.ok()) {
-      return Status::Aborted(tag + " failed: " + ranked.status().ToString());
-    }
-    if (ranked.value().empty()) {
+    if (ranked.value()[i].empty()) {
       return Status::Aborted(tag + " returned an empty top-K");
     }
-    for (const Recommendation& rec : ranked.value()) {
+    for (const Recommendation& rec : ranked.value()[i]) {
       if (!std::isfinite(rec.score)) {
         return Status::Aborted(tag + " produced a non-finite score for item " +
                                std::to_string(rec.item));
@@ -506,15 +508,11 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
   request_nanos_.Observe(clock_->NowNanos() - request_start_nanos);
   trace.Finish();
 
-  if (!pending.empty()) {
-    if (!options_.allow_partial_on_deadline ||
-        pending.size() == num_users) {
-      return Status::DeadlineExceeded(
-          "deadline of " + NanosAsMillis(budget) + " exceeded with " +
-          std::to_string(pending.size()) + " of " +
-          std::to_string(num_users) +
-          " users unserved and no fallback available");
-    }
+  if (!pending.empty() && pending.size() == num_users) {
+    return Status::DeadlineExceeded(
+        "deadline of " + NanosAsMillis(budget) + " exceeded with " +
+        std::to_string(pending.size()) + " of " + std::to_string(num_users) +
+        " users unserved and no fallback available");
   }
   return out;
 }

@@ -62,16 +62,9 @@ struct ModelServerOptions {
   /// tier reachable: a tight-but-alive budget skips the full pass and
   /// goes straight to the cheaper retry.
   int64_t min_model_budget_nanos = kNanosPerMilli;
-  /// When the deadline fires with no fallback available: `true` returns
-  /// whatever completed (uncompleted users flagged via
-  /// ServeResponse::complete), `false` fails the whole batch with
-  /// DeadlineExceeded.
-  bool allow_partial_on_deadline = true;
   /// Consecutive fully-served (all users at the full-model tier) requests
   /// needed to leave kDegraded.
   int64_t recovery_full_responses = 8;
-  /// Top-K used for canary validation during Start/Reload.
-  int64_t canary_top_k = 5;
   /// Metrics registry the server publishes its counters/gauges/histograms
   /// into (names under "serving."). nullptr: the server owns a private
   /// registry, so stats() always works.
@@ -198,8 +191,9 @@ class ModelServer {
   void set_canary_requests(std::vector<std::vector<int64_t>> canaries);
 
   /// Installs the ladder's model-free last tier. Without it, deadline
-  /// blowouts can leave requests unserved (ServeResponse::complete =
-  /// false, or DeadlineExceeded).
+  /// blowouts can leave requests unserved: ServeResponse::complete =
+  /// false for the users left over, or DeadlineExceeded when none was
+  /// served.
   void set_fallback(PopularityFallback fallback);
 
   /// Validates `model` against the canary set and goes kServing. On

@@ -64,15 +64,6 @@ Status RecommendationService::Validate(
   return Status::OK();
 }
 
-Result<std::vector<Recommendation>> RecommendationService::Recommend(
-    const std::vector<int64_t>& history,
-    const RecommendOptions& options) const {
-  Result<std::vector<std::vector<Recommendation>>> batch =
-      RecommendBatch({history}, options);
-  if (!batch.ok()) return batch.status();
-  return std::move(batch.value()[0]);
-}
-
 Result<std::vector<std::vector<Recommendation>>>
 RecommendationService::RecommendBatch(
     const std::vector<std::vector<int64_t>>& histories,

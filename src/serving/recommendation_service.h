@@ -75,17 +75,13 @@ class RecommendationService {
  public:
   explicit RecommendationService(models::SequentialRecommender* model);
 
-  /// Top-K for one user history (chronological item ids, 1-based).
-  Result<std::vector<Recommendation>> Recommend(
-      const std::vector<int64_t>& history,
-      const RecommendOptions& options = {}) const;
-
-  /// Batched variant; one ranked list per history.
+  /// Top-K for each user history (chronological item ids, 1-based); one
+  /// ranked list per history.
   Result<std::vector<std::vector<Recommendation>>> RecommendBatch(
       const std::vector<std::vector<int64_t>>& histories,
       const RecommendOptions& options = {}) const;
 
-  /// Batched variant with a cooperative deadline: `cancelled` is checked
+  /// RecommendBatch with a cooperative deadline: `cancelled` is checked
   /// before the model forward pass and again before each user's top-K
   /// extraction. Once it returns true, remaining users are skipped (their
   /// `completed` slot stays 0) and the result is returned with

@@ -495,131 +495,189 @@ TEST(VerticalRfftPlanTest, PlanCachesSurviveConcurrentFirstUse) {
 }
 
 // ---------------------------------------------------------------------------
-// Path-parity tests for the autograd ops: the packed path and the
-// full-complex reference must implement the same linear operator, forward
-// and backward, for every boundary size.
+// The differentiable Rfft/Irfft ops, forward and autograd backward, against
+// the scalar reference operators above, for every boundary size.
 // ---------------------------------------------------------------------------
 
-class SpectralPathTest : public ::testing::TestWithParam<int64_t> {};
+class SpectralSizeTest : public ::testing::TestWithParam<int64_t> {};
 
-/// Rfft then Irfft of `x` on the active path at `threads` compute threads:
-/// the spectrum's re and im planes and the round trip, concatenated.
-std::vector<float> RoundTrip(const Tensor& x, int threads) {
-  compute::ComputeContext ctx(threads);
-  const SpectralPair s = Rfft(Param(x.Clone()));
-  const Variable y = Irfft(s, x.size(1));
-  std::vector<float> out = s.re.value().ToVector();
-  for (const Tensor* t : {&s.im.value(), &y.value()}) {
-    const std::vector<float> v = t->ToVector();
-    out.insert(out.end(), v.begin(), v.end());
+/// Fixed inputs for one Rfft and one Irfft op: forward inputs and backward
+/// cotangents, all uniform in [-0.5, 0.5).
+struct OpInputs {
+  Tensor x, g_re, g_im;   // Rfft: (B, n, d) input, (B, m, d) cotangents
+  Tensor s_re, s_im, g_y;  // Irfft: (B, m, d) spectrum, (B, n, d) cotangent
+};
+
+/// What the ops produce from OpInputs: both forwards and both backwards.
+struct OpOutputs {
+  Tensor rfft_re, rfft_im, rfft_dx;
+  Tensor irfft_y, irfft_dre, irfft_dim;
+
+  std::vector<float> Flat() const {
+    std::vector<float> out;
+    for (const Tensor* t :
+         {&rfft_re, &rfft_im, &rfft_dx, &irfft_y, &irfft_dre, &irfft_dim}) {
+      const std::vector<float> v = t->ToVector();
+      out.insert(out.end(), v.begin(), v.end());
+    }
+    return out;
   }
+};
+
+OpOutputs RunOps(const OpInputs& in, int threads) {
+  compute::ComputeContext ctx(threads);
+  OpOutputs out;
+  Variable x = Param(in.x.Clone());
+  const SpectralPair s = Rfft(x);
+  autograd::Add(Sum(autograd::MulConst(s.re, in.g_re)),
+                Sum(autograd::MulConst(s.im, in.g_im)))
+      .Backward();
+  out.rfft_re = s.re.value();
+  out.rfft_im = s.im.value();
+  out.rfft_dx = x.grad();
+  Variable re = Param(in.s_re.Clone());
+  Variable im = Param(in.s_im.Clone());
+  const Variable y = Irfft({re, im}, in.x.size(1));
+  Sum(autograd::MulConst(y, in.g_y)).Backward();
+  out.irfft_y = y.value();
+  out.irfft_dre = re.grad();
+  out.irfft_dim = im.grad();
   return out;
 }
 
-TEST_P(SpectralPathTest, ForwardAgreesAcrossPaths) {
-  // Each path gives the same bits at any thread count; the two paths agree
-  // to rounding. 16 batch items, so the larger n split into several chunks.
-  const int64_t n = GetParam();
-  Rng rng(9500 + n);
-  Tensor xt = Tensor::Randn({16, n, 3}, &rng);
-  std::vector<float> out[2];
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    std::vector<float>& ref = out[path == RfftPath::kPacked ? 0 : 1];
-    ref = RoundTrip(xt, 1);
-    for (int threads : {2, 4}) {
-      const std::vector<float> got = RoundTrip(xt, threads);
-      EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
-                0)
-          << "n=" << n << " packed=" << (path == RfftPath::kPacked)
-          << " threads=" << threads;
-    }
-  }
-  for (size_t i = 0; i < out[0].size(); ++i) {
-    EXPECT_NEAR(out[0][i], out[1][i], 2e-3) << "n=" << n;
+/// Column (bi, f) of a (B, L, d) tensor.
+std::vector<float> Column(const Tensor& t, int64_t bi, int64_t f) {
+  const int64_t len = t.size(1);
+  const int64_t d = t.size(2);
+  std::vector<float> col(len);
+  for (int64_t i = 0; i < len; ++i) col[i] = t.data()[(bi * len + i) * d + f];
+  return col;
+}
+
+void ExpectColumnNear(const Tensor& got, int64_t bi, int64_t f,
+                      const std::vector<float>& want, const char* what) {
+  const std::vector<float> col = Column(got, bi, f);
+  ASSERT_EQ(col.size(), want.size()) << what;
+  for (size_t i = 0; i < col.size(); ++i) {
+    EXPECT_NEAR(col[i], want[i], 1e-4)
+        << what << " b=" << bi << " f=" << f << " i=" << i;
   }
 }
 
-TEST_P(SpectralPathTest, RfftAdjointIdentityOnBothPaths) {
+TEST_P(SpectralSizeTest, MatchesScalarReferences) {
+  // Every column of both ops, forward and backward, within a fixed 1e-4 of
+  // the scalar references. 16 batch items, so the larger n split into
+  // several chunks; the outputs are bit-identical at any thread count.
+  const int64_t n = GetParam();
+  SCOPED_TRACE("n=" + std::to_string(n));
+  const int64_t m = RfftBins(n);
+  const int64_t b = 16;
+  const int64_t d = 3;
+  Rng rng(9500 + n);
+  OpInputs in;
+  in.x = Tensor::RandUniform({b, n, d}, &rng, -0.5f, 0.5f);
+  in.g_re = Tensor::RandUniform({b, m, d}, &rng, -0.5f, 0.5f);
+  in.g_im = Tensor::RandUniform({b, m, d}, &rng, -0.5f, 0.5f);
+  in.s_re = Tensor::RandUniform({b, m, d}, &rng, -0.5f, 0.5f);
+  in.s_im = Tensor::RandUniform({b, m, d}, &rng, -0.5f, 0.5f);
+  in.g_y = Tensor::RandUniform({b, n, d}, &rng, -0.5f, 0.5f);
+  const OpOutputs out = RunOps(in, 1);
+  const std::vector<float> ref = out.Flat();
+  for (int threads : {2, 4}) {
+    const std::vector<float> got = RunOps(in, threads).Flat();
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
+  }
+  std::vector<float> want_re(m), want_im(m), want_t(n);
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t f = 0; f < d; ++f) {
+      RfftForward(Column(in.x, bi, f).data(), n, want_re.data(),
+                  want_im.data());
+      ExpectColumnNear(out.rfft_re, bi, f, want_re, "rfft forward re");
+      ExpectColumnNear(out.rfft_im, bi, f, want_im, "rfft forward im");
+      RfftAdjoint(Column(in.g_re, bi, f).data(), Column(in.g_im, bi, f).data(),
+                  n, want_t.data());
+      ExpectColumnNear(out.rfft_dx, bi, f, want_t, "rfft backward");
+      IrfftForward(Column(in.s_re, bi, f).data(),
+                   Column(in.s_im, bi, f).data(), n, want_t.data());
+      ExpectColumnNear(out.irfft_y, bi, f, want_t, "irfft forward");
+      IrfftAdjoint(Column(in.g_y, bi, f).data(), n, want_re.data(),
+                   want_im.data());
+      ExpectColumnNear(out.irfft_dre, bi, f, want_re, "irfft backward re");
+      ExpectColumnNear(out.irfft_dim, bi, f, want_im, "irfft backward im");
+    }
+  }
+}
+
+TEST_P(SpectralSizeTest, RfftAdjointIdentity) {
   // <F x, g> == <x, F^T g> through the actual autograd backward, so the op
   // adjoint (not just the plan) is what is being checked.
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9600 + n);
-    Variable x = Param(Tensor::Randn({1, n, 2}, &rng));
-    Tensor g_re = Tensor::Randn({1, m, 2}, &rng);
-    Tensor g_im = Tensor::Randn({1, m, 2}, &rng);
-    const SpectralPair s = Rfft(x);
-    Variable loss = autograd::Add(Sum(autograd::MulConst(s.re, g_re)),
-                                  Sum(autograd::MulConst(s.im, g_im)));
-    loss.Backward();
-    double lhs = 0.0;
-    for (int64_t i = 0; i < s.re.numel(); ++i) {
-      lhs += double(s.re.value()[i]) * g_re[i] +
-             double(s.im.value()[i]) * g_im[i];
-    }
-    double rhs = 0.0;
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      rhs += double(x.value()[i]) * x.grad()[i];
-    }
-    EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)))
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked);
+  Rng rng(9600 + n);
+  Variable x = Param(Tensor::Randn({1, n, 2}, &rng));
+  Tensor g_re = Tensor::Randn({1, m, 2}, &rng);
+  Tensor g_im = Tensor::Randn({1, m, 2}, &rng);
+  const SpectralPair s = Rfft(x);
+  Variable loss = autograd::Add(Sum(autograd::MulConst(s.re, g_re)),
+                                Sum(autograd::MulConst(s.im, g_im)));
+  loss.Backward();
+  double lhs = 0.0;
+  for (int64_t i = 0; i < s.re.numel(); ++i) {
+    lhs += double(s.re.value()[i]) * g_re[i] +
+           double(s.im.value()[i]) * g_im[i];
   }
+  double rhs = 0.0;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    rhs += double(x.value()[i]) * x.grad()[i];
+  }
+  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs))) << "n=" << n;
 }
 
-TEST_P(SpectralPathTest, IrfftAdjointIdentityOnBothPaths) {
+TEST_P(SpectralSizeTest, IrfftAdjointIdentity) {
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9700 + n);
-    Variable re = Param(Tensor::Randn({1, m, 2}, &rng));
-    Variable im = Param(Tensor::Randn({1, m, 2}, &rng));
-    Tensor g = Tensor::Randn({1, n, 2}, &rng);
-    Variable y = Irfft({re, im}, n);
-    Sum(autograd::MulConst(y, g)).Backward();
-    double lhs = 0.0;
-    for (int64_t i = 0; i < y.numel(); ++i) {
-      lhs += double(y.value()[i]) * g[i];
-    }
-    double rhs = 0.0;
-    for (int64_t i = 0; i < re.numel(); ++i) {
-      rhs += double(re.value()[i]) * re.grad()[i] +
-             double(im.value()[i]) * im.grad()[i];
-    }
-    EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs)))
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked);
+  Rng rng(9700 + n);
+  Variable re = Param(Tensor::Randn({1, m, 2}, &rng));
+  Variable im = Param(Tensor::Randn({1, m, 2}, &rng));
+  Tensor g = Tensor::Randn({1, n, 2}, &rng);
+  Variable y = Irfft({re, im}, n);
+  Sum(autograd::MulConst(y, g)).Backward();
+  double lhs = 0.0;
+  for (int64_t i = 0; i < y.numel(); ++i) {
+    lhs += double(y.value()[i]) * g[i];
   }
+  double rhs = 0.0;
+  for (int64_t i = 0; i < re.numel(); ++i) {
+    rhs += double(re.value()[i]) * re.grad()[i] +
+           double(im.value()[i]) * im.grad()[i];
+  }
+  EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::abs(lhs))) << "n=" << n;
 }
 
-TEST_P(SpectralPathTest, GradcheckOnBothPaths) {
+TEST_P(SpectralSizeTest, Gradcheck) {
   const int64_t n = GetParam();
   const int64_t m = RfftBins(n);
-  for (const RfftPath path : {RfftPath::kPacked, RfftPath::kFullComplex}) {
-    RfftPathGuard guard(path);
-    Rng rng(9800 + n);
-    Variable x = Param(Tensor::Randn({1, n, 2}, &rng, 0.5f));
-    const auto result = autograd::CheckGradients(
-        [n, m](const std::vector<Variable>& in) {
-          const SpectralPair s = Rfft(in[0]);
-          Rng wrng(97);
-          Tensor w1 = Tensor::Randn({1, m, 2}, &wrng);
-          Tensor w2 = Tensor::Randn({1, m, 2}, &wrng);
-          Tensor w3 = Tensor::Randn({1, n, 2}, &wrng);
-          const SpectralPair weighted{autograd::MulConst(s.re, w1),
-                                      autograd::MulConst(s.im, w2)};
-          return Sum(autograd::MulConst(Irfft(weighted, n), w3));
-        },
-        {x});
-    EXPECT_TRUE(result.ok)
-        << "n=" << n << " packed=" << (path == RfftPath::kPacked) << " "
-        << result.message;
-  }
+  Rng rng(9800 + n);
+  Variable x = Param(Tensor::Randn({1, n, 2}, &rng, 0.5f));
+  const auto result = autograd::CheckGradients(
+      [n, m](const std::vector<Variable>& in) {
+        const SpectralPair s = Rfft(in[0]);
+        Rng wrng(97);
+        Tensor w1 = Tensor::Randn({1, m, 2}, &wrng);
+        Tensor w2 = Tensor::Randn({1, m, 2}, &wrng);
+        Tensor w3 = Tensor::Randn({1, n, 2}, &wrng);
+        const SpectralPair weighted{autograd::MulConst(s.re, w1),
+                                    autograd::MulConst(s.im, w2)};
+        return Sum(autograd::MulConst(Irfft(weighted, n), w3));
+      },
+      {x});
+  EXPECT_TRUE(result.ok) << "n=" << n << " " << result.message;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSizes, SpectralPathTest,
+INSTANTIATE_TEST_SUITE_P(AllSizes, SpectralSizeTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 50, 64,
                                            200));
 

@@ -520,7 +520,7 @@ TEST(ModelUseGuardDeathTest, CatchesServingDuringTraining) {
   ScriptedModel model(TinyConfig(), 0.0f);
   models::ModelUseGuard guard(&model, "training");
   RecommendationService service(&model);
-  EXPECT_DEATH((void)service.Recommend({1, 2}), "concurrent model use");
+  EXPECT_DEATH((void)service.RecommendBatch({{1, 2}}), "concurrent model use");
 }
 
 // --- Determinism ---------------------------------------------------------

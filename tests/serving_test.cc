@@ -30,7 +30,7 @@ TEST(ServingTest, ReturnsKRankedItems) {
   RecommendationService service(&model);
   RecommendOptions options;
   options.top_k = 5;
-  const auto recs = service.Recommend({1, 2, 3}, options).value();
+  const auto recs = service.RecommendBatch({{1, 2, 3}}, options).value()[0];
   ASSERT_EQ(recs.size(), 5u);
   for (size_t i = 1; i < recs.size(); ++i) {
     EXPECT_GE(recs[i - 1].score, recs[i].score);  // descending
@@ -50,7 +50,7 @@ TEST(ServingTest, ExcludeSeenFiltersHistory) {
   const std::vector<int64_t> history = {4, 9, 17};
   RecommendOptions options;
   options.top_k = 22;
-  const auto recs = service.Recommend(history, options).value();
+  const auto recs = service.RecommendBatch({history}, options).value()[0];
   // 25 items - 3 seen = 22 remain.
   ASSERT_EQ(recs.size(), 22u);
   for (const auto& r : recs) {
@@ -65,7 +65,7 @@ TEST(ServingTest, ExcludeSeenOffKeepsHistoryItems) {
   RecommendOptions options;
   options.top_k = 25;
   options.exclude_seen = false;
-  const auto recs = service.Recommend({4, 9, 17}, options).value();
+  const auto recs = service.RecommendBatch({{4, 9, 17}}, options).value()[0];
   EXPECT_EQ(recs.size(), 25u);
 }
 
@@ -76,7 +76,7 @@ TEST(ServingTest, ExplicitBlocklistApplies) {
   options.top_k = 25;
   options.exclude_seen = false;
   options.exclude_items = {1, 2, 3, 4, 5};
-  const auto recs = service.Recommend({10}, options).value();
+  const auto recs = service.RecommendBatch({{10}}, options).value()[0];
   EXPECT_EQ(recs.size(), 20u);
   for (const auto& r : recs) {
     EXPECT_GT(r.item, 5);
@@ -92,7 +92,8 @@ TEST(ServingTest, BatchMatchesSingleRequests) {
   const auto batched = service.RecommendBatch(histories, options).value();
   ASSERT_EQ(batched.size(), 2u);
   for (size_t i = 0; i < histories.size(); ++i) {
-    const auto single = service.Recommend(histories[i], options).value();
+    const auto single =
+        service.RecommendBatch({histories[i]}, options).value()[0];
     ASSERT_EQ(single.size(), batched[i].size());
     for (size_t j = 0; j < single.size(); ++j) {
       EXPECT_EQ(single[j].item, batched[i][j].item) << i << "," << j;
@@ -107,7 +108,7 @@ TEST(ServingTest, RestoresTrainingMode) {
   RecommendationService service(&model);
   RecommendOptions options;
   options.top_k = 3;
-  ASSERT_TRUE(service.Recommend({1}, options).ok());
+  ASSERT_TRUE(service.RecommendBatch({{1}}, options).ok());
   EXPECT_TRUE(model.training());
 }
 
@@ -123,7 +124,7 @@ TEST(ServingTest, LongHistoryTruncatedToMostRecent) {
   // The 40-item history covers the whole catalogue; keep seen items so
   // candidates remain.
   options.exclude_seen = false;
-  const auto recs = service.Recommend(history, options).value();
+  const auto recs = service.RecommendBatch({history}, options).value()[0];
   EXPECT_EQ(recs.size(), 3u);
 }
 
@@ -140,7 +141,7 @@ TEST(ServingTest, WorksWithEveryZooModel) {
     RecommendationService service(model.get());
     RecommendOptions options;
     options.top_k = 3;
-    const auto recs = service.Recommend({3, 5}, options).value();
+    const auto recs = service.RecommendBatch({{3, 5}}, options).value()[0];
     EXPECT_EQ(recs.size(), 3u) << name;
   }
 }
@@ -210,7 +211,7 @@ TEST(ServingValidationTest, RejectsOutOfCatalogueItemIds) {
   RecommendationService service(&model);
   for (const int64_t bad : {int64_t{0}, int64_t{-3}, int64_t{26},
                             int64_t{1000000}}) {
-    const auto r = service.Recommend({1, bad, 2});
+    const auto r = service.RecommendBatch({{1, bad, 2}});
     ASSERT_FALSE(r.ok()) << "item " << bad;
     EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
     EXPECT_NE(r.status().message().find(std::to_string(bad)),
@@ -222,7 +223,7 @@ TEST(ServingValidationTest, RejectsOutOfCatalogueItemIds) {
 TEST(ServingValidationTest, RejectsEmptyHistory) {
   core::Slime4Rec model(SmallConfig());
   RecommendationService service(&model);
-  const auto single = service.Recommend({});
+  const auto single = service.RecommendBatch({std::vector<int64_t>{}});
   ASSERT_FALSE(single.ok());
   EXPECT_EQ(single.status().code(), Status::Code::kInvalidArgument);
   // A batch with one empty history among valid ones is rejected whole.
@@ -246,7 +247,7 @@ TEST(ServingValidationTest, RejectsNonPositiveTopK) {
   RecommendationService service(&model);
   RecommendOptions options;
   options.top_k = 0;
-  const auto r = service.Recommend({1, 2}, options);
+  const auto r = service.RecommendBatch({{1, 2}}, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
 }
@@ -260,7 +261,7 @@ TEST(ServingValidationTest, OutOfRangeBlocklistEntriesIgnored) {
   options.top_k = 25;
   options.exclude_seen = false;
   options.exclude_items = {-5, 0, 26, 9999};
-  const auto recs = service.Recommend({10}, options).value();
+  const auto recs = service.RecommendBatch({{10}}, options).value()[0];
   EXPECT_EQ(recs.size(), 25u);
 }
 
