@@ -22,10 +22,9 @@ struct EvalRow {
   std::vector<double> sampled_hr10;
 };
 
-EvalRow EvaluateBoth(models::SequentialRecommender* model,
+EvalRow EvaluateBoth(const models::SequentialRecommender* model,
                      const data::SplitDataset& split,
                      const std::vector<int64_t>& negative_counts) {
-  model->SetTraining(false);
   metrics::RankingAccumulator full;
   Rng rng(1234);
   std::vector<metrics::SampledRankingAccumulator> sampled;

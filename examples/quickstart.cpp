@@ -53,7 +53,6 @@ int main() {
 
   // 4. Recommend: score every item for user 0's history and print the
   //    top 5.
-  model.SetTraining(false);
   data::Batch batch;
   batch.size = 1;
   batch.max_len = config.max_len;

@@ -1,6 +1,7 @@
 #include "chaos/harness.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -74,7 +75,7 @@ class NanWindowModel : public models::SequentialRecommender {
     return inner_->Loss(batch);
   }
 
-  Tensor ScoreAll(const data::Batch& batch) override {
+  Tensor ScoreAll(const data::Batch& batch) const override {
     return inner_->ScoreAll(batch);
   }
 
@@ -108,9 +109,7 @@ class LatencyModel : public models::SequentialRecommender {
     return inner_->Loss(batch);
   }
 
-  Tensor ScoreAll(const data::Batch& batch) override {
-    // Forward passes are serialised by the server's inference mutex, so a
-    // plain counter is race-free.
+  Tensor ScoreAll(const data::Batch& batch) const override {
     const size_t call = static_cast<size_t>(calls_++);
     if (!latencies_.empty()) {
       clock_->Advance(latencies_[std::min(latencies_.size() - 1, call)]);
@@ -132,7 +131,7 @@ class LatencyModel : public models::SequentialRecommender {
   std::shared_ptr<models::SequentialRecommender> inner_;
   serving::FakeClock* clock_;
   std::vector<int64_t> latencies_;
-  int64_t calls_ = 0;
+  mutable std::atomic<int64_t> calls_{0};
 };
 
 models::ModelConfig ChaosModelConfig(const data::SplitDataset& split) {

@@ -564,7 +564,6 @@ void ClusterServer::ReadRepair(uint64_t user_key) {
   }
   if (!diverged) return;
   read_divergence_.Increment();
-  if (!options_.read_repair_heal) return;
   size_t ahead = 0;
   uint64_t best = first.items_total;
   for (size_t i = 1; i < stores.size(); ++i) {

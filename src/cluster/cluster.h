@@ -112,12 +112,10 @@ struct ClusterOptions {
   /// or writes acked before the handoff queue existed).
   bool repair_on_restore = false;
   /// On every successful ServeSession, digest-compare the served user
-  /// across the segment's alive replicas and count observed divergence
-  /// (cluster.repair.read_divergence).
+  /// across the segment's alive replicas, count observed divergence
+  /// (cluster.repair.read_divergence) and heal it in the serve path
+  /// (suffix transfer through the normal Append path).
   bool read_repair = false;
-  /// With read_repair: also heal the divergence in the serve path (suffix
-  /// transfer through the normal Append path) instead of only counting it.
-  bool read_repair_heal = false;
 };
 
 /// Cumulative cluster counters (thin view over the "cluster.*" metrics).
@@ -343,7 +341,7 @@ class ClusterServer {
       int64_t include_shard);
   /// Read-repair hook: after a successful session serve, digest-compare
   /// `user_key` across its segment's alive replicas; count divergence and
-  /// (with read_repair_heal) heal it.
+  /// heal it.
   void ReadRepair(uint64_t user_key);
   void NoteAttemptSuccess(int64_t shard);
   void NoteAttemptFailure(int64_t shard, const Status& status);

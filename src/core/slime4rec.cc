@@ -34,7 +34,7 @@ Slime4Rec::Slime4Rec(const Slime4RecConfig& config)
 }
 
 autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
-                                     int64_t batch_size) {
+                                     int64_t batch_size, Rng* rng) const {
   using autograd::Add;
   using autograd::AddConst;
   using autograd::Variable;
@@ -44,20 +44,21 @@ autograd::Variable Slime4Rec::Encode(const std::vector<int64_t>& input_ids,
   Variable e = item_emb_->Forward(input_ids, {batch_size, n});
   e = Add(e, pos_emb_);  // (B,N,d) + (N,d) broadcasts
   e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
+  e = emb_dropout_->Forward(e, rng);
   Variable h = e;
   for (const auto& block : blocks_) {
-    h = block->Forward(h, &rng_);
+    h = block->Forward(h, rng);
   }
   return h;
 }
 
 autograd::Variable Slime4Rec::EncodeLast(
-    const std::vector<int64_t>& input_ids, int64_t batch_size) {
+    const std::vector<int64_t>& input_ids, int64_t batch_size,
+    Rng* rng) const {
   using autograd::Reshape;
   using autograd::Slice;
   const int64_t n = config_.max_len;
-  autograd::Variable h = Encode(input_ids, batch_size);
+  autograd::Variable h = Encode(input_ids, batch_size, rng);
   // Left padding places the most recent item at position N-1.
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
 }
@@ -91,8 +92,8 @@ autograd::Variable Slime4Rec::Loss(const data::Batch& batch) {
   return Add(loss, MulScalar(cl, config_.cl_weight));
 }
 
-Tensor Slime4Rec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+Tensor Slime4Rec::ScoreAll(const data::Batch& batch) const {
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, nullptr);
   return PredictLogits(h).value();
 }
 

@@ -31,7 +31,7 @@ class Slime4Rec : public models::SequentialRecommender {
   explicit Slime4Rec(const Slime4RecConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "SLIME4Rec"; }
   bool needs_positives() const override {
     return slime_config_.use_contrastive;
@@ -39,13 +39,25 @@ class Slime4Rec : public models::SequentialRecommender {
 
   /// Runs the embedding layer (Eqs. 9-10) and the L filter-mixer blocks;
   /// `input_ids` is a flat (batch_size * max_len) id buffer. Returns the
-  /// full hidden states H^L of shape (B, N, d).
+  /// full hidden states H^L of shape (B, N, d). Dropout draws from `rng`
+  /// while the model is in training mode; a null `rng` turns it off.
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
-                            int64_t batch_size);
+                            int64_t batch_size, Rng* rng) const;
 
   /// Last-position user representation h_t^L, shape (B, d).
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
-                                int64_t batch_size);
+                                int64_t batch_size, Rng* rng) const;
+
+  /// The training forms: Encode/EncodeLast drawing dropout from the
+  /// model's own RNG, exactly as Loss() does.
+  autograd::Variable Encode(const std::vector<int64_t>& input_ids,
+                            int64_t batch_size) {
+    return Encode(input_ids, batch_size, &rng_);
+  }
+  autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
+                                int64_t batch_size) {
+    return EncodeLast(input_ids, batch_size, &rng_);
+  }
 
   /// Recommendation logits over the item vocabulary (Eq. 31, pre-softmax):
   /// (B, num_items + 1) sharing the item embedding matrix.

@@ -37,14 +37,14 @@ Bert4Rec::Bert4Rec(const ModelConfig& config)
 }
 
 autograd::Variable Bert4Rec::Encode(const std::vector<int64_t>& input_ids,
-                                    int64_t batch_size) {
+                                    int64_t batch_size, Rng* rng) const {
   using autograd::Add;
   using autograd::Variable;
   const int64_t n = config_.max_len;
   Variable e = item_emb_->Forward(input_ids, {batch_size, n});
   e = Add(e, pos_emb_);
   e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
+  e = emb_dropout_->Forward(e, rng);
   Tensor padding({batch_size, n});
   for (int64_t i = 0; i < batch_size * n; ++i) {
     padding.data()[i] = input_ids[i] == 0 ? -1e9f : 0.0f;
@@ -52,9 +52,9 @@ autograd::Variable Bert4Rec::Encode(const std::vector<int64_t>& input_ids,
   Variable h = e;
   for (const auto& b : blocks_) {
     // Bidirectional: causal = false.
-    Variable a = b.attn->Forward(h, /*causal=*/false, padding, &rng_);
+    Variable a = b.attn->Forward(h, /*causal=*/false, padding, rng);
     h = b.attn_norm->Forward(Add(h, a));
-    Variable f = b.ffn->Forward(h, &rng_);
+    Variable f = b.ffn->Forward(h, rng);
     h = b.ffn_norm->Forward(Add(h, f));
   }
   return h;
@@ -88,14 +88,14 @@ autograd::Variable Bert4Rec::Loss(const data::Batch& batch) {
       }
     }
   }
-  Variable h = Encode(masked, batch.size);  // (B, N, d)
+  Variable h = Encode(masked, batch.size, &rng_);  // (B, N, d)
   Variable logits = autograd::MatMulTransB(
       Reshape(h, {batch.size * n, config_.hidden_dim}),
       item_emb_->weight());  // (B*N, V+2)
   return CrossEntropy(logits, labels, kIgnore);
 }
 
-Tensor Bert4Rec::ScoreAll(const data::Batch& batch) {
+Tensor Bert4Rec::ScoreAll(const data::Batch& batch) const {
   const int64_t n = config_.max_len;
   // Append [MASK] to each sequence and predict at the final position.
   std::vector<int64_t> masked(batch.size * n, 0);
@@ -105,7 +105,7 @@ Tensor Bert4Rec::ScoreAll(const data::Batch& batch) {
     const std::vector<int64_t> padded = data::PadTruncate(input, n);
     for (int64_t t = 0; t < n; ++t) masked[i * n + t] = padded[t];
   }
-  autograd::Variable h = Encode(masked, batch.size);
+  autograd::Variable h = Encode(masked, batch.size, nullptr);
   autograd::Variable last = autograd::Reshape(
       autograd::Slice(h, 1, n - 1, n), {batch.size, config_.hidden_dim});
   const Tensor full =

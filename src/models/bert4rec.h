@@ -24,12 +24,12 @@ class Bert4Rec : public SequentialRecommender {
   explicit Bert4Rec(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "BERT4Rec"; }
 
  private:
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
-                            int64_t batch_size);
+                            int64_t batch_size, Rng* rng) const;
 
   int64_t mask_token() const { return config_.num_items + 1; }
 

@@ -43,7 +43,7 @@ autograd::Variable BprMf::Loss(const data::Batch& batch) {
   return Neg(Mean(Log(AddScalar(Sigmoid(diff), 1e-10f))));
 }
 
-Tensor BprMf::ScoreAll(const data::Batch& batch) {
+Tensor BprMf::ScoreAll(const data::Batch& batch) const {
   autograd::Variable u = user_emb_->Forward(batch.user_ids, {batch.size});
   return ops::MatMulTransB(u.value(), item_emb_->weight().value());
 }

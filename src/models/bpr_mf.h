@@ -20,7 +20,7 @@ class BprMf : public SequentialRecommender {
   explicit BprMf(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "BPR-MF"; }
 
  private:

@@ -33,29 +33,30 @@ Caser::Caser(const ModelConfig& config) : SequentialRecommender(config) {
   out_ = RegisterModule("out", std::make_shared<nn::Linear>(2 * d, d, &rng_));
 }
 
-autograd::Variable Caser::EncodeLast(const data::Batch& batch) {
+autograd::Variable Caser::EncodeLast(const data::Batch& batch,
+                                     Rng* rng) const {
   using autograd::Concat;
   using autograd::Relu;
   using autograd::Variable;
   Variable e =
       item_emb_->Forward(batch.input_ids, {batch.size, config_.max_len});
-  e = dropout_->Forward(e, &rng_);
+  e = dropout_->Forward(e, rng);
   Variable h = horizontal_->Forward(e);                    // (B, Fh)
   Variable v = vertical_->Forward(e);                      // (B, Fv*d)
   Variable z = Relu(fc_->Forward(Concat({h, v}, 1)));      // (B, d)
-  z = dropout_->Forward(z, &rng_);
+  z = dropout_->Forward(z, rng);
   Variable u = user_emb_->Forward(batch.user_ids, {batch.size});  // (B, d)
   return out_->Forward(Concat({z, u}, 1));                 // (B, d)
 }
 
 autograd::Variable Caser::Loss(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch);
+  autograd::Variable h = EncodeLast(batch, &rng_);
   autograd::Variable logits = autograd::MatMulTransB(h, item_emb_->weight());
   return autograd::CrossEntropy(logits, batch.targets);
 }
 
-Tensor Caser::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch);
+Tensor Caser::ScoreAll(const data::Batch& batch) const {
+  autograd::Variable h = EncodeLast(batch, nullptr);
   return autograd::MatMulTransB(h, item_emb_->weight()).value();
 }
 

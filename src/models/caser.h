@@ -23,11 +23,11 @@ class Caser : public SequentialRecommender {
   explicit Caser(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "Caser"; }
 
  private:
-  autograd::Variable EncodeLast(const data::Batch& batch);
+  autograd::Variable EncodeLast(const data::Batch& batch, Rng* rng) const;
 
   std::shared_ptr<nn::Embedding> item_emb_;
   std::shared_ptr<nn::Embedding> user_emb_;

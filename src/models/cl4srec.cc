@@ -67,14 +67,14 @@ autograd::Variable Cl4SRec::EncodeAugmented(
     const std::vector<int64_t> padded = data::PadTruncate(Augment(seq), n);
     ids.insert(ids.end(), padded.begin(), padded.end());
   }
-  return EncodeLast(ids, static_cast<int64_t>(raw.size()));
+  return EncodeLast(ids, static_cast<int64_t>(raw.size()), &rng_);
 }
 
 autograd::Variable Cl4SRec::Loss(const data::Batch& batch) {
   using autograd::Add;
   using autograd::MulScalar;
   using autograd::Variable;
-  Variable h = EncodeLast(batch.input_ids, batch.size);
+  Variable h = EncodeLast(batch.input_ids, batch.size, &rng_);
   Variable rec = autograd::CrossEntropy(PredictLogits(h), batch.targets);
   Variable v1 = EncodeAugmented(batch.raw_prefixes);
   Variable v2 = EncodeAugmented(batch.raw_prefixes);

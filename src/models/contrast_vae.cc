@@ -40,7 +40,7 @@ autograd::Variable ContrastVae::Loss(const data::Batch& batch) {
   using autograd::Neg;
   using autograd::Sub;
   using autograd::Variable;
-  Variable h = EncodeLast(batch.input_ids, batch.size);
+  Variable h = EncodeLast(batch.input_ids, batch.size, &rng_);
   Variable mu = mu_head_->Forward(h);
   Variable logvar = logvar_head_->Forward(h);
   // Two variationally augmented views.
@@ -58,9 +58,9 @@ autograd::Variable ContrastVae::Loss(const data::Batch& batch) {
                       MulScalar(cl, config_.cl_weight)));
 }
 
-Tensor ContrastVae::ScoreAll(const data::Batch& batch) {
+Tensor ContrastVae::ScoreAll(const data::Batch& batch) const {
   // Deterministic inference: score with the posterior mean.
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, nullptr);
   autograd::Variable mu = mu_head_->Forward(h);
   return PredictLogits(mu).value();
 }

@@ -21,7 +21,7 @@ class ContrastVae : public SasRec {
   explicit ContrastVae(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "ContrastVAE"; }
 
  private:

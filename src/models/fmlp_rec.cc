@@ -44,7 +44,7 @@ FmlpRec::FmlpRec(const ModelConfig& config) : SequentialRecommender(config) {
 }
 
 autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
-                                       int64_t batch_size) {
+                                       int64_t batch_size, Rng* rng) const {
   using autograd::Add;
   using autograd::Reshape;
   using autograd::Slice;
@@ -53,24 +53,24 @@ autograd::Variable FmlpRec::EncodeLast(const std::vector<int64_t>& input_ids,
   Variable e = item_emb_->Forward(input_ids, {batch_size, n});
   e = Add(e, pos_emb_);
   e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
+  e = emb_dropout_->Forward(e, rng);
   Variable h = e;
   for (const auto& b : blocks_) {
-    Variable filtered = b.filter->Forward(h, &rng_);  // includes residual+LN
-    Variable f = b.ffn->Forward(filtered, &rng_);
+    Variable filtered = b.filter->Forward(h, rng);  // includes residual+LN
+    Variable f = b.ffn->Forward(filtered, rng);
     h = b.ffn_norm->Forward(Add(filtered, f));
   }
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
 }
 
 autograd::Variable FmlpRec::Loss(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, &rng_);
   autograd::Variable logits = autograd::MatMulTransB(h, item_emb_->weight());
   return autograd::CrossEntropy(logits, batch.targets);
 }
 
-Tensor FmlpRec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+Tensor FmlpRec::ScoreAll(const data::Batch& batch) const {
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, nullptr);
   return autograd::MatMulTransB(h, item_emb_->weight()).value();
 }
 

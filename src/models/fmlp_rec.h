@@ -22,11 +22,11 @@ class FmlpRec : public SequentialRecommender {
   explicit FmlpRec(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "FMLP-Rec"; }
 
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
-                                int64_t batch_size);
+                                int64_t batch_size, Rng* rng) const;
 
  private:
   std::shared_ptr<nn::Embedding> item_emb_;

@@ -20,12 +20,12 @@ class Gru4Rec : public SequentialRecommender {
   explicit Gru4Rec(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "GRU4Rec"; }
 
  private:
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
-                                int64_t batch_size);
+                                int64_t batch_size, Rng* rng) const;
 
   std::shared_ptr<nn::Embedding> item_emb_;
   std::shared_ptr<nn::Dropout> emb_dropout_;

@@ -30,7 +30,7 @@ autograd::Variable MostPop::Loss(const data::Batch& batch) {
   return autograd::Constant(Tensor::Scalar(0.0f));
 }
 
-Tensor MostPop::ScoreAll(const data::Batch& batch) {
+Tensor MostPop::ScoreAll(const data::Batch& batch) const {
   Tensor scores({batch.size, config_.num_items + 1});
   float* p = scores.data();
   for (int64_t i = 0; i < batch.size; ++i) {

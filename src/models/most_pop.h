@@ -21,7 +21,7 @@ class MostPop : public SequentialRecommender {
   void Prepare(const data::SplitDataset& split) override;
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "MostPop"; }
 
   /// Training-region frequency of `item` (0 before Prepare()).

@@ -1,7 +1,6 @@
 #ifndef SLIME4REC_MODELS_RECOMMENDER_H_
 #define SLIME4REC_MODELS_RECOMMENDER_H_
 
-#include <atomic>
 #include <string>
 
 #include "autograd/variable.h"
@@ -37,8 +36,14 @@ struct ModelConfig {
 /// Common interface of the eleven models in Table II. Training code builds
 /// batches, calls Loss() (which constructs an autograd graph using the
 /// model's internal RNG for dropout/augmentation), backpropagates, and
-/// steps an optimizer over Parameters(). Evaluation calls ScoreAll() in
-/// eval mode.
+/// steps an optimizer over Parameters(). Evaluation and serving call
+/// ScoreAll(), which is const: it runs the encoder without dropout,
+/// whatever training() says, and draws nothing from the RNG.
+///
+/// Concurrency: ScoreAll writes no model state, so any number of threads
+/// may score one model at once. Loss() and anything that changes the
+/// parameters (an optimizer step, LoadCheckpoint) must not overlap with
+/// scoring; the serving tier holds models as `const` and never does either.
 class SequentialRecommender : public nn::Module {
  public:
   explicit SequentialRecommender(const ModelConfig& config)
@@ -49,7 +54,7 @@ class SequentialRecommender : public nn::Module {
 
   /// Scores every item for each sequence in the batch:
   /// (B, num_items + 1), column 0 being the padding pseudo-item.
-  virtual Tensor ScoreAll(const data::Batch& batch) = 0;
+  virtual Tensor ScoreAll(const data::Batch& batch) const = 0;
 
   virtual std::string name() const = 0;
 
@@ -66,38 +71,9 @@ class SequentialRecommender : public nn::Module {
   const ModelConfig& config() const { return config_; }
   Rng* rng() { return &rng_; }
 
-  /// Concurrent-use detector (see ModelUseGuard). Models are stateful
-  /// during both training (autograd graphs, RNG draws) and inference
-  /// (SetTraining toggles, RNG for augmentation-based models), so no two
-  /// guarded activities may overlap on one instance — in particular a
-  /// RecommendationService call racing a Trainer::Fit on the same model.
-  /// Best-effort: two activities starting in the same instant may both
-  /// pass, but any sustained overlap (the realistic bug) is caught. Two
-  /// cheap atomic ops per guarded call, so it stays on in release builds,
-  /// matching the SLIME_CHECK philosophy.
-  std::atomic<const char*>& active_use() { return active_use_; }
-
  protected:
   ModelConfig config_;
   Rng rng_;
-
- private:
-  std::atomic<const char*> active_use_{nullptr};
-};
-
-/// RAII scope marking a model as exclusively in use for `what` ("training",
-/// "serving"); aborts via SLIME_CHECK if the model is already inside
-/// another guarded scope. Taken by Trainer::Fit around the whole run and by
-/// RecommendationService around each model interaction.
-class ModelUseGuard {
- public:
-  ModelUseGuard(SequentialRecommender* model, const char* what);
-  ~ModelUseGuard();
-  ModelUseGuard(const ModelUseGuard&) = delete;
-  ModelUseGuard& operator=(const ModelUseGuard&) = delete;
-
- private:
-  SequentialRecommender* model_;
 };
 
 }  // namespace models

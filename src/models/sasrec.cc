@@ -46,7 +46,7 @@ Tensor SasRec::PaddingMask(const std::vector<int64_t>& input_ids,
 }
 
 autograd::Variable SasRec::Encode(const std::vector<int64_t>& input_ids,
-                                  int64_t batch_size) {
+                                  int64_t batch_size, Rng* rng) const {
   using autograd::Add;
   using autograd::Variable;
   const int64_t n = config_.max_len;
@@ -54,24 +54,24 @@ autograd::Variable SasRec::Encode(const std::vector<int64_t>& input_ids,
   Variable e = item_emb_->Forward(input_ids, {batch_size, n});
   e = Add(e, pos_emb_);
   e = emb_norm_->Forward(e);
-  e = emb_dropout_->Forward(e, &rng_);
+  e = emb_dropout_->Forward(e, rng);
   const Tensor padding = PaddingMask(input_ids, batch_size);
   Variable h = e;
   for (const auto& b : blocks_) {
-    Variable a = b.attn->Forward(h, /*causal=*/true, padding, &rng_);
+    Variable a = b.attn->Forward(h, /*causal=*/true, padding, rng);
     h = b.attn_norm->Forward(Add(h, a));
-    Variable f = b.ffn->Forward(h, &rng_);
+    Variable f = b.ffn->Forward(h, rng);
     h = b.ffn_norm->Forward(Add(h, f));
   }
   return h;
 }
 
 autograd::Variable SasRec::EncodeLast(const std::vector<int64_t>& input_ids,
-                                      int64_t batch_size) {
+                                      int64_t batch_size, Rng* rng) const {
   using autograd::Reshape;
   using autograd::Slice;
   const int64_t n = config_.max_len;
-  autograd::Variable h = Encode(input_ids, batch_size);
+  autograd::Variable h = Encode(input_ids, batch_size, rng);
   return Reshape(Slice(h, 1, n - 1, n), {batch_size, config_.hidden_dim});
 }
 
@@ -96,7 +96,7 @@ autograd::Variable SasRec::PerPositionLoss(const data::Batch& batch) {
     }
     labels[i * n + n - 1] = batch.targets[i];
   }
-  autograd::Variable h = Encode(batch.input_ids, batch.size);
+  autograd::Variable h = Encode(batch.input_ids, batch.size, &rng_);
   autograd::Variable logits = autograd::MatMulTransB(
       Reshape(h, {batch.size * n, config_.hidden_dim}),
       item_emb_->weight());
@@ -105,12 +105,12 @@ autograd::Variable SasRec::PerPositionLoss(const data::Batch& batch) {
 
 autograd::Variable SasRec::Loss(const data::Batch& batch) {
   if (config_.per_position_loss) return PerPositionLoss(batch);
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, &rng_);
   return autograd::CrossEntropy(PredictLogits(h), batch.targets);
 }
 
-Tensor SasRec::ScoreAll(const data::Batch& batch) {
-  autograd::Variable h = EncodeLast(batch.input_ids, batch.size);
+Tensor SasRec::ScoreAll(const data::Batch& batch) const {
+  autograd::Variable h = EncodeLast(batch.input_ids, batch.size, nullptr);
   return PredictLogits(h).value();
 }
 

@@ -24,16 +24,17 @@ class SasRec : public SequentialRecommender {
   explicit SasRec(const ModelConfig& config);
 
   autograd::Variable Loss(const data::Batch& batch) override;
-  Tensor ScoreAll(const data::Batch& batch) override;
+  Tensor ScoreAll(const data::Batch& batch) const override;
   std::string name() const override { return "SASRec"; }
 
-  /// Encoder: embedding + L causal attention blocks; (B, N, d).
+  /// Encoder: embedding + L causal attention blocks; (B, N, d). Dropout
+  /// draws from `rng` in training mode; a null `rng` turns it off.
   autograd::Variable Encode(const std::vector<int64_t>& input_ids,
-                            int64_t batch_size);
+                            int64_t batch_size, Rng* rng) const;
 
   /// Last-position representation (B, d).
   autograd::Variable EncodeLast(const std::vector<int64_t>& input_ids,
-                                int64_t batch_size);
+                                int64_t batch_size, Rng* rng) const;
 
   /// Tied-embedding logits (B, num_items + 1).
   autograd::Variable PredictLogits(const autograd::Variable& h) const;

@@ -7,6 +7,7 @@ namespace nn {
 
 autograd::Variable Dropout::Forward(const autograd::Variable& x,
                                     Rng* rng) const {
+  if (rng == nullptr) return x;
   return autograd::Dropout(x, p_, training(), rng);
 }
 

@@ -7,7 +7,9 @@ namespace slime {
 namespace nn {
 
 /// Inverted dropout layer; active only while the module is in training
-/// mode. The caller supplies the RNG so whole-model runs stay reproducible.
+/// mode and the caller supplies an RNG (the model's own, so whole-model
+/// runs stay reproducible). A null `rng` makes Forward the identity in
+/// either mode: that is how inference turns dropout off.
 class Dropout : public Module {
  public:
   explicit Dropout(float p) : p_(p) {}

@@ -117,22 +117,18 @@ void ModelServer::set_fallback(PopularityFallback fallback) {
   fallback_ = std::move(fallback);
 }
 
-std::shared_ptr<models::SequentialRecommender> ModelServer::ModelSnapshot(
-    int64_t* generation) const {
+std::shared_ptr<const models::SequentialRecommender>
+ModelServer::ModelSnapshot(int64_t* generation) const {
   std::lock_guard<std::mutex> lk(model_mu_);
   if (generation != nullptr) *generation = generation_;
   return model_;
 }
 
 Status ModelServer::ValidateCanaries(
-    models::SequentialRecommender* candidate) {
+    const models::SequentialRecommender* candidate) {
   RecommendationService service(candidate);
   RecommendOptions options;
   options.top_k = kCanaryTopK;
-  // Canary forward passes share the compute pool (and, in chaos tests, the
-  // clock seam) with live traffic; take the inference lock like any other
-  // forward pass so the two never interleave on the model-stateful path.
-  std::lock_guard<std::mutex> lk(infer_mu_);
   const Result<std::vector<std::vector<Recommendation>>> ranked =
       service.RecommendBatch(canaries_, options);
   if (!ranked.ok()) {
@@ -355,7 +351,7 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
 
   BatchServeResponse out;
   const int32_t snapshot_span = trace.BeginSpan("snapshot");
-  std::shared_ptr<models::SequentialRecommender> model =
+  std::shared_ptr<const models::SequentialRecommender> model =
       ModelSnapshot(&out.generation);
   trace.EndSpan(snapshot_span);
   SLIME_CHECK(model != nullptr);
@@ -381,8 +377,6 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
         remaining() >= tier_budget(full_cost_estimate_.value());
     obs::TraceSpan tier1_span(trace, "forward.full");
     if (!attempt) tier1_span.Annotate("skipped", "budget");
-    std::unique_lock<std::mutex> infer_lk(infer_mu_, std::defer_lock);
-    if (attempt) infer_lk.lock();
     const int64_t t0 = clock_->NowNanos();
     Result<PartialBatch> tier1 = service.RecommendBatchCancellable(
         request.histories, request.options, attempt ? past_deadline
@@ -432,7 +426,6 @@ Result<BatchServeResponse> ModelServer::ServeBatch(
           h.size(), static_cast<size_t>(options_.fast_path_history_len));
       truncated.emplace_back(h.end() - n, h.end());
     }
-    std::lock_guard<std::mutex> infer_lk(infer_mu_);
     const int64_t t0 = clock_->NowNanos();
     Result<PartialBatch> tier2 = service.RecommendBatchCancellable(
         truncated, request.options, past_deadline);

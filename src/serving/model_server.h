@@ -163,13 +163,14 @@ struct ServerStats {
 ///  - **Health + counters** for observability: kStarting/kServing/
 ///    kDegraded/kDraining and the ServerStats counters.
 ///
-/// Concurrency: Serve/ServeBatch may be called from any number of threads.
-/// Model inference is serialised by an internal mutex (the model object is
-/// stateful during a forward pass); parallelism *within* a request comes
-/// from the compute pool, which is where CPU time goes anyway, and the
-/// admission in-flight cap bounds the queue behind the mutex. With a
-/// FakeClock every outcome — tiers, shed decisions, counters, rankings —
-/// is bit-identical at any compute thread count.
+/// Concurrency: Serve/ServeBatch may be called from any number of threads,
+/// and their forward passes run in parallel. The server holds each model
+/// as `const`: scoring writes no model state, a reload installs a new
+/// model instead of changing the live one, and so no lock guards a forward
+/// pass. Each request also parallelises *within* itself across the compute
+/// pool. The admission in-flight cap bounds how many requests compute at
+/// once. With a FakeClock every outcome — tiers, shed decisions, counters,
+/// rankings — is bit-identical at any compute thread count.
 class ModelServer {
  public:
   /// Builds a fresh, identically-structured model for checkpoint loading
@@ -256,10 +257,10 @@ class ModelServer {
   /// it consumes no admission slot and touches no model state. Requests
   /// already past the health check keep running to completion on their
   /// model snapshot: BeginDrain only flips the state flag (it takes no
-  /// model or inference lock), so nothing in flight is interrupted,
-  /// cancelled, or downgraded. kDraining is terminal — there is no
-  /// undrain; a cluster restores capacity by routing around the draining
-  /// shard (see cluster::ClusterServer). Verified by
+  /// model lock), so nothing in flight is interrupted, cancelled, or
+  /// downgraded. kDraining is terminal — there is no undrain; a cluster
+  /// restores capacity by routing around the draining shard (see
+  /// cluster::ClusterServer). Verified by
   /// ModelServerTest.DrainRejectsNewWhileInFlightCompletes.
   void BeginDrain();
 
@@ -274,9 +275,9 @@ class ModelServer {
  private:
   struct TierOutcome;  // per-tier bookkeeping helper (see .cc)
 
-  std::shared_ptr<models::SequentialRecommender> ModelSnapshot(
+  std::shared_ptr<const models::SequentialRecommender> ModelSnapshot(
       int64_t* generation) const;
-  Status ValidateCanaries(models::SequentialRecommender* candidate);
+  Status ValidateCanaries(const models::SequentialRecommender* candidate);
   void Install(std::unique_ptr<models::SequentialRecommender> model);
   void UpdateHealthAfterServe(bool all_full_tier);
   void NoteShed();
@@ -290,10 +291,9 @@ class ModelServer {
   std::vector<std::vector<int64_t>> canaries_;
 
   mutable std::mutex model_mu_;  // guards model_ + generation_ (swap point)
-  std::shared_ptr<models::SequentialRecommender> model_;
+  std::shared_ptr<const models::SequentialRecommender> model_;
   int64_t generation_ = 0;
 
-  std::mutex infer_mu_;   // serialises forward passes (live + canary)
   std::mutex reload_mu_;  // one Start/Reload at a time
 
   mutable std::mutex state_mu_;  // health state + recovery hysteresis

@@ -12,7 +12,7 @@ namespace slime {
 namespace serving {
 
 RecommendationService::RecommendationService(
-    models::SequentialRecommender* model)
+    const models::SequentialRecommender* model)
     : model_(model) {
   SLIME_CHECK(model != nullptr);
 }
@@ -108,13 +108,7 @@ Result<PartialBatch> RecommendationService::RecommendBatchCancellable(
     return out;
   }
 
-  // Exclusive-use scope: catches a concurrent Trainer::Fit (or a second
-  // un-serialised service call) on the same model while we run inference.
-  models::ModelUseGuard use(model_, "serving");
-  const bool was_training = model_->training();
-  model_->SetTraining(false);
   const Tensor scores = model_->ScoreAll(batch);
-  model_->SetTraining(was_training);
   SLIME_CHECK_EQ(scores.size(0), batch.size);
   SLIME_CHECK_EQ(scores.size(1), num_items + 1);
 

@@ -47,8 +47,8 @@ struct PartialBatch {
 
 /// Serving wrapper over any trained SequentialRecommender: takes raw user
 /// histories, handles padding/truncation and batching, and returns ranked
-/// top-K lists. The service switches the model to eval mode for the
-/// duration of each call and restores the previous mode afterwards.
+/// top-K lists. It only calls the model's const ScoreAll, which runs
+/// without dropout in either training mode.
 ///
 /// Requests are untrusted input: malformed histories (item ids outside
 /// [1, num_items], empty histories) and non-positive top_k are rejected
@@ -56,24 +56,22 @@ struct PartialBatch {
 /// an out-of-range id would index out of bounds. An empty batch is valid
 /// and yields an empty result.
 ///
-/// Thread-safety contract (the fan-out inside RecommendBatch uses the
-/// compute pool, but that changes nothing for callers):
+/// Thread-safety contract:
 ///  - A call parallelises *internally* across the compute pool
 ///    (ScoreAll's kernels plus the per-user top-K extraction), with the
 ///    deterministic work split of compute::ParallelFor, so results are
 ///    bit-identical at any thread count.
-///  - Calls on the same underlying model must be *externally* serialised:
-///    the model object is stateful during inference (training-mode toggle,
-///    RNG), so two concurrent calls — or a call racing Trainer::Fit — are
-///    data races. A models::ModelUseGuard taken around each call turns a
-///    sustained violation into an immediate SLIME_CHECK failure instead of
-///    silent corruption. ModelServer provides the serialisation (and
-///    admission control) for concurrent callers.
+///  - Any number of calls may run concurrently, on one service or on
+///    several over the same model: the service holds the model as const
+///    and scoring writes no model state. Each call returns what it would
+///    return alone. What must not overlap a call is a write to the model
+///    (a training step, LoadCheckpoint); ModelServer never writes a live
+///    model, it swaps in a new one.
 ///
 /// The model pointer is non-owning; the caller keeps it alive across calls.
 class RecommendationService {
  public:
-  explicit RecommendationService(models::SequentialRecommender* model);
+  explicit RecommendationService(const models::SequentialRecommender* model);
 
   /// Top-K for each user history (chronological item ids, 1-based); one
   /// ranked list per history.
@@ -100,7 +98,7 @@ class RecommendationService {
   Status Validate(const std::vector<std::vector<int64_t>>& histories,
                   const RecommendOptions& options) const;
 
-  models::SequentialRecommender* model_;
+  const models::SequentialRecommender* model_;
 };
 
 /// Standalone helper: top-k (item, score) pairs from one score row

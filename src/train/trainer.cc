@@ -34,18 +34,15 @@ std::vector<Tensor> CloneAll(const std::vector<Tensor>& tensors) {
 
 }  // namespace
 
-metrics::RankingMetrics Evaluate(models::SequentialRecommender* model,
+metrics::RankingMetrics Evaluate(const models::SequentialRecommender* model,
                                  const data::SplitDataset& split, bool test,
                                  int64_t batch_size) {
-  const bool was_training = model->training();
-  model->SetTraining(false);
   metrics::RankingAccumulator acc;
   for (const data::Batch& batch : data::MakeEvalBatches(
            split, test, batch_size, model->config().max_len)) {
     const Tensor scores = model->ScoreAll(batch);
     acc.Add(scores, batch.targets);
   }
-  model->SetTraining(was_training);
   return metrics::RankingMetrics::From(acc);
 }
 
@@ -69,10 +66,6 @@ std::vector<std::vector<int64_t>> ExportCanarySet(
 
 Result<TrainResult> Trainer::Fit(models::SequentialRecommender* model,
                                  const data::SplitDataset& split) {
-  // Exclusive-use scope for the whole run: a serving call racing this
-  // training loop on the same model is a data race, caught here instead of
-  // corrupting parameters mid-epoch.
-  models::ModelUseGuard use(model, "training");
   io::Env* env = config_.env != nullptr ? config_.env : io::Env::Default();
   serving::Clock* clock =
       config_.clock != nullptr ? config_.clock : serving::Clock::Default();

@@ -26,9 +26,9 @@ struct TrainResult {
   int64_t rollbacks = 0;
 };
 
-/// Evaluates `model` (switched to eval mode) with the full-ranking
-/// leave-one-out protocol on the validation (`test = false`) or test split.
-metrics::RankingMetrics Evaluate(models::SequentialRecommender* model,
+/// Evaluates `model` with the full-ranking leave-one-out protocol on the
+/// validation (`test = false`) or test split.
+metrics::RankingMetrics Evaluate(const models::SequentialRecommender* model,
                                  const data::SplitDataset& split, bool test,
                                  int64_t batch_size = 256);
 

@@ -18,7 +18,19 @@ grep -q "^test" "$TMP/train.log"
 TRAIN_LINE=$(grep '^test' "$TMP/train.log" | tr -s ' ')
 EVAL_LINE=$(grep '^test' "$TMP/eval.log" | tr -s ' ')
 [ "$TRAIN_LINE" = "$EVAL_LINE" ] || { echo "metric mismatch:"; echo "$TRAIN_LINE"; echo "$EVAL_LINE"; exit 1; }
-"$CLI" recommend --data "$TMP/data.txt" --load "$TMP/m.ckpt" --user 0 --topk 3 | grep -q top-3
+# recommend --topk 3 prints exactly three distinct catalogue item ids.
+NUM_ITEMS=$(sed -n 's/.* users, \([0-9][0-9]*\) items$/\1/p' "$TMP/train.log")
+[ -n "$NUM_ITEMS" ] || { echo "no item count in the train log"; exit 1; }
+TOP=$("$CLI" recommend --data "$TMP/data.txt" --load "$TMP/m.ckpt" --user 0 \
+    --topk 3 | sed -n 's/^top-3://p')
+[ "$(printf '%s\n' $TOP | sort -u | wc -l)" -eq 3 ] || { echo "want 3 distinct items, got:$TOP"; exit 1; }
+for ITEM in $TOP; do
+  [ "$ITEM" -ge 1 ] && [ "$ITEM" -le "$NUM_ITEMS" ] || { echo "item $ITEM outside [1, $NUM_ITEMS]"; exit 1; }
+done
+if "$CLI" recommend --data "$TMP/data.txt" --load "$TMP/m.ckpt" --user 0 \
+    --topk 0 2>/dev/null >/dev/null; then
+  echo "expected recommend --topk 0 to fail"; exit 1
+fi
 # Fault tolerance: an interrupted run resumed from its snapshot must end
 # with exactly the metrics of an uninterrupted run of the same length.
 "$CLI" train --data "$TMP/data.txt" --epochs 4 > "$TMP/full.log"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -55,7 +56,7 @@ class ScriptedModel : public models::SequentialRecommender {
     return shift_;
   }
 
-  Tensor ScoreAll(const data::Batch& batch) override {
+  Tensor ScoreAll(const data::Batch& batch) const override {
     const size_t call = static_cast<size_t>(calls_++);
     if (clock_ != nullptr && !latencies_.empty()) {
       clock_->Advance(latencies_[std::min(latencies_.size() - 1, call)]);
@@ -79,7 +80,7 @@ class ScriptedModel : public models::SequentialRecommender {
   autograd::Variable shift_;
   FakeClock* clock_;
   std::vector<int64_t> latencies_;
-  int64_t calls_ = 0;
+  mutable std::atomic<int64_t> calls_{0};
 };
 
 models::ModelConfig TinyConfig() {

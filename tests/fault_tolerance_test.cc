@@ -374,7 +374,7 @@ class PoisonModel : public models::SequentialRecommender {
     return inner_->Loss(batch);
   }
 
-  Tensor ScoreAll(const data::Batch& batch) override {
+  Tensor ScoreAll(const data::Batch& batch) const override {
     return inner_->ScoreAll(batch);
   }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "data/dataset.h"
 #include "io/checkpoint.h"
 #include "io/env.h"
+#include "models/model_factory.h"
 #include "models/recommender.h"
 #include "observability/export.h"
 #include "observability/metrics.h"
@@ -59,9 +61,7 @@ class ScriptedModel : public models::SequentialRecommender {
     return shift_;
   }
 
-  Tensor ScoreAll(const data::Batch& batch) override {
-    // Forward passes are serialised by the server's inference mutex, so a
-    // plain counter is race-free even in the multi-threaded chaos tests.
+  Tensor ScoreAll(const data::Batch& batch) const override {
     const size_t call = static_cast<size_t>(calls_++);
     if (clock_ != nullptr && !latencies_.empty()) {
       clock_->Advance(latencies_[std::min(latencies_.size() - 1, call)]);
@@ -92,7 +92,7 @@ class ScriptedModel : public models::SequentialRecommender {
   autograd::Variable shift_;
   FakeClock* clock_;
   std::vector<int64_t> latencies_;
-  int64_t calls_ = 0;
+  mutable std::atomic<int64_t> calls_{0};
 };
 
 models::ModelConfig TinyConfig() {
@@ -514,15 +514,6 @@ TEST(ModelServerReloadTest, ReloadBeforeStartIsRejected) {
   EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
 }
 
-// --- Concurrent-use guard ------------------------------------------------
-
-TEST(ModelUseGuardDeathTest, CatchesServingDuringTraining) {
-  ScriptedModel model(TinyConfig(), 0.0f);
-  models::ModelUseGuard guard(&model, "training");
-  RecommendationService service(&model);
-  EXPECT_DEATH((void)service.RecommendBatch({{1, 2}}), "concurrent model use");
-}
-
 // --- Determinism ---------------------------------------------------------
 
 /// Runs a fixed chaos scenario (slow pass, budget-skipped pass, recovery,
@@ -759,6 +750,81 @@ TEST(ModelServerChaosTest, ReloadRacingRequestsNeverServesPartialModel) {
   EXPECT_EQ(server.health(), HealthState::kServing);
 }
 
+// --- Concurrent forward passes on a real model (run under TSan in CI) ----
+
+TEST(ModelServerConcurrencyTest, ParallelServeBatchMatchesSerialService) {
+  models::ModelConfig config;
+  config.num_items = 40;
+  config.num_users = 8;
+  config.max_len = 8;
+  config.hidden_dim = 8;
+  config.num_layers = 2;
+  config.dropout = 0.1f;
+  config.emb_dropout = 0.1f;
+  config.seed = 11;
+  // Both models stay in training mode: scoring must ignore the mode.
+  const std::unique_ptr<models::SequentialRecommender> reference =
+      models::CreateModel("SLIME4Rec", config);
+  const RecommendationService serial(reference.get());
+
+  // Each request has its own histories, so a response carrying another
+  // request's lists cannot match.
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 6;
+  std::vector<BatchServeRequest> requests;
+  std::vector<std::vector<std::vector<Recommendation>>> expected;
+  for (int r = 0; r < kThreads * kCallsPerThread; ++r) {
+    BatchServeRequest request;
+    for (int64_t u = 0; u < 3; ++u) {
+      std::vector<int64_t> history;
+      for (int64_t t = 0; t <= (r + u) % 10; ++t) {
+        history.push_back(1 + (7 * r + 3 * u + 5 * t) % config.num_items);
+      }
+      request.histories.push_back(std::move(history));
+    }
+    request.options.top_k = 5;
+    expected.push_back(
+        serial.RecommendBatch(request.histories, request.options).value());
+    requests.push_back(std::move(request));
+  }
+
+  // A FakeClock that nobody advances: no deadline fires, so every user is
+  // served by the full model and the lists must equal the serial ones.
+  FakeClock clock;
+  ModelServer server(ModelServerOptions{}, nullptr, &clock);
+  ASSERT_TRUE(server.Start(models::CreateModel("SLIME4Rec", config)).ok());
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCallsPerThread; ++c) {
+        const size_t r = static_cast<size_t>(t * kCallsPerThread + c);
+        const auto response = server.ServeBatch(requests[r]);
+        if (!response.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (size_t u = 0; u < expected[r].size(); ++u) {
+          const ServeResponse& got = response.value().responses[u];
+          bool same = got.tier == ServeTier::kFullModel &&
+                      got.items.size() == expected[r][u].size();
+          for (size_t k = 0; same && k < got.items.size(); ++k) {
+            same = got.items[k].item == expected[r][u][k].item &&
+                   std::memcmp(&got.items[k].score,
+                               &expected[r][u][k].score,
+                               sizeof(float)) == 0;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.stats().full_model_served,
+            kThreads * kCallsPerThread * 3);
+}
+
 // --- Drain, external cancel, typed shed hints ----------------------------
 
 /// Scripted model that fires a hook on its first forward pass — used to
@@ -769,17 +835,14 @@ class HookOnScoreModel : public ScriptedModel {
                    std::function<void()> hook)
       : ScriptedModel(config, 0.0f), hook_(std::move(hook)) {}
 
-  Tensor ScoreAll(const data::Batch& batch) override {
-    if (!fired_) {
-      fired_ = true;
-      hook_();
-    }
+  Tensor ScoreAll(const data::Batch& batch) const override {
+    if (!fired_.exchange(true)) hook_();
     return ScriptedModel::ScoreAll(batch);
   }
 
  private:
   std::function<void()> hook_;
-  bool fired_ = false;
+  mutable std::atomic<bool> fired_{false};
 };
 
 TEST(ModelServerTest, DrainRejectsNewWhileInFlightCompletes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/batcher.h"
 #include "models/cl4srec.h"
@@ -67,6 +68,24 @@ TEST_P(AllModelsTest, LossIsFiniteScalarAndBackpropagates) {
     if (p.has_grad()) ++with_grad;
   }
   EXPECT_GT(with_grad, 0);
+}
+
+TEST_P(AllModelsTest, ScoreAllIgnoresTrainingModeAndDrawsNoRng) {
+  // Left in training mode with dropout 0.1, ScoreAll must still run the
+  // dropout-free pass: no RNG draw, and the same bits as in eval mode.
+  auto model = CreateModel(GetParam(), SmallConfig());
+  ASSERT_TRUE(model->training());
+  const RngState before = model->rng()->state();
+  const Tensor in_training = model->ScoreAll(SmallBatch());
+  const RngState after = model->rng()->state();
+  EXPECT_EQ(std::memcmp(before.s, after.s, sizeof(before.s)), 0);
+  EXPECT_EQ(before.have_cached_gaussian, after.have_cached_gaussian);
+  model->SetTraining(false);
+  const Tensor in_eval = model->ScoreAll(SmallBatch());
+  ASSERT_EQ(in_training.shape(), in_eval.shape());
+  EXPECT_EQ(std::memcmp(in_training.data(), in_eval.data(),
+                        sizeof(float) * in_eval.numel()),
+            0);
 }
 
 TEST_P(AllModelsTest, ScoreAllHasItemPlusPadColumns) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -699,7 +700,7 @@ class SessionModel : public models::SequentialRecommender {
     (void)batch;
     return shift_;
   }
-  Tensor ScoreAll(const data::Batch& batch) override {
+  Tensor ScoreAll(const data::Batch& batch) const override {
     ++calls_;
     const int64_t cols = config_.num_items + 1;
     Tensor scores = Tensor::Zeros({batch.size, cols});
@@ -716,7 +717,7 @@ class SessionModel : public models::SequentialRecommender {
 
  private:
   autograd::Variable shift_;
-  int64_t calls_ = 0;
+  mutable std::atomic<int64_t> calls_{0};
 };
 
 models::ModelConfig TinyConfig() {
@@ -1126,7 +1127,6 @@ TEST(ClusterAntiEntropyTest, RestoreStaysDeadWhenStateRecoveryFails) {
 TEST(ClusterAntiEntropyTest, ReadRepairCountsAndHealsServeTimeDivergence) {
   cluster::ClusterOptions options = AntiEntropyClusterOptions("ae_readrep");
   options.read_repair = true;
-  options.read_repair_heal = true;
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
   cluster::ClusterServer cluster(options, SessionFactory());

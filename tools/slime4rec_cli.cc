@@ -343,7 +343,11 @@ int CmdRecommend(const Flags& flags) {
     return 2;
   }
   const int64_t topk = flags.GetInt("topk", 10);
-  model->SetTraining(false);
+  if (topk < 1) {
+    std::fprintf(stderr, "--topk must be positive, got %lld\n",
+                 static_cast<long long>(topk));
+    return 2;
+  }
   data::Batch batch;
   batch.size = 1;
   batch.max_len = model->config().max_len;
@@ -356,15 +360,11 @@ int CmdRecommend(const Flags& flags) {
   std::printf("history:");
   for (int64_t v : history) std::printf(" %lld", static_cast<long long>(v));
   std::printf("\ntop-%lld:", static_cast<long long>(topk));
-  std::vector<std::pair<float, int64_t>> ranked;
-  for (int64_t item = 1; item <= split.num_items(); ++item) {
-    ranked.emplace_back(scores[item], item);
-  }
-  const int64_t k = std::min<int64_t>(topk, split.num_items());
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    std::greater<>());
-  for (int64_t i = 0; i < k; ++i) {
-    std::printf(" %lld", static_cast<long long>(ranked[i].second));
+  const int64_t num_items = split.num_items();
+  for (const serving::Recommendation& r : serving::TopKFromScores(
+           scores.data(), num_items, topk,
+           std::vector<bool>(num_items + 1, false))) {
+    std::printf(" %lld", static_cast<long long>(r.item));
   }
   std::printf("\n");
   return 0;
@@ -592,16 +592,14 @@ int CmdServeCluster(const Flags& flags, const data::SplitDataset& split,
     opts.state_sync = SyncModeOrDie(flags);
     // Anti-entropy is opt-in (docs/CLUSTER.md): --repair-on-restore turns
     // on hinted handoff for appends that miss a dead replica plus the
-    // digest repair sweep after RestoreShard; --read-repair adds serve-path
-    // divergence detection and healing.
+    // digest repair sweep after RestoreShard; --read-repair turns on
+    // ClusterOptions::read_repair, which detects and heals divergence in
+    // the serve path.
     if (flags.GetInt("repair-on-restore", 0) != 0) {
       opts.hinted_handoff = true;
       opts.repair_on_restore = true;
     }
-    if (flags.GetInt("read-repair", 0) != 0) {
-      opts.read_repair = true;
-      opts.read_repair_heal = true;
-    }
+    opts.read_repair = flags.GetInt("read-repair", 0) != 0;
   }
 
   const std::string metrics_out = flags.Get("metrics-out");
