@@ -64,19 +64,27 @@ void MatMulTransBRows(const float* a, const float* b, float* c, int64_t k,
   }
 }
 
-/// Columns [jlo, jhi) of C(m,n) += A(k,m)^T @ B(k,n). The outer k loop is
-/// kept so each C element accumulates in ascending-k order (bit-identical to
-/// the serial kernel); the column split gives disjoint writes.
-void MatMulTransACols(const float* a, const float* b, float* c, int64_t k,
-                      int64_t m, int64_t n, int64_t jlo, int64_t jhi) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    const float* brow = b + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      for (int64_t j = jlo; j < jhi; ++j) crow[j] += av * brow[j];
+/// Rows [lo, hi) of C(m,n) += A(k,m)^T @ B(k,n). Each row of C is walked
+/// in 32-column tiles held in a local accumulator across the whole k loop
+/// and stored once, so a chunk owns whole rows (no cache line of C is shared
+/// between chunks) and every element accumulates in ascending-k order with
+/// zero A terms skipped.
+void MatMulTransARows(const float* a, const float* b, float* c, int64_t k,
+                      int64_t m, int64_t n, int64_t lo, int64_t hi) {
+  constexpr int64_t kTile = 32;
+  for (int64_t i = lo; i < hi; ++i) {
+    float* crow = c + i * n;
+    for (int64_t j0 = 0; j0 < n; j0 += kTile) {
+      const int64_t w = std::min(kTile, n - j0);
+      float acc[kTile] = {};
+      std::copy(crow + j0, crow + j0 + w, acc);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        const float* brow = b + kk * n + j0;
+        for (int64_t j = 0; j < w; ++j) acc[j] += av * brow[j];
+      }
+      std::copy(acc, acc + w, crow + j0);
     }
   }
 }
@@ -92,8 +100,8 @@ void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
 
 void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
                         int64_t m, int64_t n) {
-  ParallelFor(0, n, GrainForWork(2 * k * m), [=](int64_t lo, int64_t hi) {
-    MatMulTransACols(a, b, c, k, m, n, lo, hi);
+  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
+    MatMulTransARows(a, b, c, k, m, n, lo, hi);
   });
 }
 
@@ -140,13 +148,15 @@ void BatchMatMulTransBKernel(const float* a, const float* b, float* c,
 void BatchMatMulTransAKernel(const float* a, const float* b, float* c,
                              int64_t batch, int64_t k, int64_t m,
                              int64_t n) {
-  // The column-parallel kernel writes all rows of one output item, so the
-  // deterministic split here is per batch item.
-  ParallelFor(0, batch, GrainForWork(2 * k * m * n),
+  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
               [=](int64_t lo, int64_t hi) {
-                for (int64_t bi = lo; bi < hi; ++bi) {
-                  MatMulTransACols(a + bi * k * m, b + bi * k * n,
-                                   c + bi * m * n, k, m, n, 0, n);
+                while (lo < hi) {
+                  const int64_t bi = lo / m;
+                  const int64_t row0 = lo - bi * m;
+                  const int64_t rows = std::min(hi - lo, m - row0);
+                  MatMulTransARows(a + bi * k * m, b + bi * k * n,
+                                   c + bi * m * n, k, m, n, row0, row0 + rows);
+                  lo += rows;
                 }
               });
 }
@@ -302,20 +312,34 @@ void LayerNormBwdKernel(const float* g, const float* xhat,
 
 void LayerNormParamBwdKernel(const float* g, const float* xhat, float* dgamma,
                              float* dbeta, int64_t rows, int64_t d) {
-  if (dgamma != nullptr) {
-    ParallelFor(0, d, GrainForWork(4 * rows), [=](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i)
-        for (int64_t r = 0; r < rows; ++r) {
-          dgamma[i] += g[r * d + i] * xhat[r * d + i];
-          dbeta[i] += g[r * d + i];
-        }
-    });
-  } else {
-    ParallelFor(0, d, GrainForWork(2 * rows), [=](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i)
-        for (int64_t r = 0; r < rows; ++r) dbeta[i] += g[r * d + i];
-    });
-  }
+  // Chunks own whole blocks of kBlock columns (one cache line of floats).
+  // A block sums its rows in ascending order in locals and stores once, so
+  // no chunk rewrites dgamma/dbeta inside the row loop, and each row's
+  // block is read as one contiguous span.
+  constexpr int64_t kBlock = 16;
+  const bool with_gamma = dgamma != nullptr;
+  const int64_t blocks = (d + kBlock - 1) / kBlock;
+  ParallelFor(0, blocks, GrainForWork(kBlock * (with_gamma ? 4 : 2) * rows),
+              [=](int64_t lo, int64_t hi) {
+                for (int64_t blk = lo; blk < hi; ++blk) {
+                  const int64_t i0 = blk * kBlock;
+                  const int64_t w = std::min(kBlock, d - i0);
+                  float sg[kBlock] = {};
+                  float sb[kBlock] = {};
+                  if (with_gamma) std::copy(dgamma + i0, dgamma + i0 + w, sg);
+                  std::copy(dbeta + i0, dbeta + i0 + w, sb);
+                  for (int64_t r = 0; r < rows; ++r) {
+                    const float* gr = g + r * d + i0;
+                    if (with_gamma) {
+                      const float* hr = xhat + r * d + i0;
+                      for (int64_t j = 0; j < w; ++j) sg[j] += gr[j] * hr[j];
+                    }
+                    for (int64_t j = 0; j < w; ++j) sb[j] += gr[j];
+                  }
+                  if (with_gamma) std::copy(sg, sg + w, dgamma + i0);
+                  std::copy(sb, sb + w, dbeta + i0);
+                }
+              });
 }
 
 void AdamStepKernel(float* w, float* m, float* v, const float* g, int64_t n,

@@ -18,8 +18,9 @@ namespace compute {
 void MatMulKernel(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n);
 
-/// C(m,n) += A(k,m)^T @ B(k,n). Parallel over column blocks so the
-/// k-ascending accumulation order per output element is preserved.
+/// C(m,n) += A(k,m)^T @ B(k,n). Parallel over rows of C: each row is
+/// accumulated in a register tile over ascending k and stored once, so no
+/// two chunks write the same cache line.
 void MatMulTransAKernel(const float* a, const float* b, float* c, int64_t k,
                         int64_t m, int64_t n);
 
@@ -84,9 +85,9 @@ void LayerNormBwdKernel(const float* g, const float* xhat,
                         int64_t rows, int64_t d);
 
 /// LayerNorm parameter gradients, accumulated *into* dgamma/dbeta.
-/// Column-parallel: each column sums its rows in ascending order, matching
-/// the serial row-major walk bit for bit. Pass dgamma == nullptr to compute
-/// dbeta only.
+/// Parallel over blocks of 16 columns: each column sums its rows in
+/// ascending order in a local and is stored once, matching the serial walk
+/// bit for bit. Pass dgamma == nullptr to compute dbeta only.
 void LayerNormParamBwdKernel(const float* g, const float* xhat, float* dgamma,
                              float* dbeta, int64_t rows, int64_t d);
 

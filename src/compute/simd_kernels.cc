@@ -205,28 +205,61 @@ SLIME_TARGET_AVX2 void MatMulTransBRowsSimd(const float* a, const float* b,
   }
 }
 
-/// Columns [jlo, jhi) of C(m,n) += A(k,m)^T @ B(k,n). Outer k loop kept so
-/// each element still accumulates in ascending-k order; the j vectorisation
-/// only widens the disjoint column writes.
-SLIME_TARGET_AVX2 void MatMulTransAColsSimd(const float* a, const float* b,
+/// Rows [lo, hi) of C(m,n) += A(k,m)^T @ B(k,n). Each row of C is walked
+/// in 32-column tiles held in four 8-lane accumulators across the whole k
+/// loop and stored once, so a chunk owns whole rows (no cache line of C is
+/// shared between chunks). Every element accumulates in ascending-k order
+/// with one fused multiply-add per non-zero A term: 8-wide strips cover the
+/// columns left after the tiles, and the last n % 8 columns use std::fma,
+/// which rounds exactly like a lane of _mm256_fmadd_ps.
+SLIME_TARGET_AVX2 void MatMulTransARowsSimd(const float* a, const float* b,
                                             float* c, int64_t k, int64_t m,
-                                            int64_t n, int64_t jlo,
-                                            int64_t jhi) {
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    const float* brow = b + kk * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      const __m256 vav = _mm256_set1_ps(av);
-      int64_t j = jlo;
-      for (; j + 8 <= jhi; j += 8) {
-        const __m256 vc = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j), vc));
+                                            int64_t n, int64_t lo,
+                                            int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    float* crow = c + i * n;
+    int64_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      __m256 c0 = _mm256_loadu_ps(crow + j);
+      __m256 c1 = _mm256_loadu_ps(crow + j + 8);
+      __m256 c2 = _mm256_loadu_ps(crow + j + 16);
+      __m256 c3 = _mm256_loadu_ps(crow + j + 24);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        const __m256 vav = _mm256_set1_ps(av);
+        const float* bp = b + kk * n + j;
+        c0 = _mm256_fmadd_ps(vav, _mm256_loadu_ps(bp), c0);
+        c1 = _mm256_fmadd_ps(vav, _mm256_loadu_ps(bp + 8), c1);
+        c2 = _mm256_fmadd_ps(vav, _mm256_loadu_ps(bp + 16), c2);
+        c3 = _mm256_fmadd_ps(vav, _mm256_loadu_ps(bp + 24), c3);
       }
-      for (; j < jhi; ++j) crow[j] += av * brow[j];
+      _mm256_storeu_ps(crow + j, c0);
+      _mm256_storeu_ps(crow + j + 8, c1);
+      _mm256_storeu_ps(crow + j + 16, c2);
+      _mm256_storeu_ps(crow + j + 24, c3);
+    }
+    for (; j + 8 <= n; j += 8) {
+      __m256 acc = _mm256_loadu_ps(crow + j);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        acc = _mm256_fmadd_ps(_mm256_set1_ps(av),
+                              _mm256_loadu_ps(b + kk * n + j), acc);
+      }
+      _mm256_storeu_ps(crow + j, acc);
+    }
+    if (j < n) {
+      const int64_t w = n - j;
+      float acc[8] = {};
+      std::copy(crow + j, crow + n, acc);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        const float* bp = b + kk * n + j;
+        for (int64_t t = 0; t < w; ++t) acc[t] = std::fma(av, bp[t], acc[t]);
+      }
+      std::copy(acc, acc + w, crow + j);
     }
   }
 }
@@ -366,8 +399,8 @@ void SimdMatMulKernel(const float* a, const float* b, float* c, int64_t m,
 
 void SimdMatMulTransAKernel(const float* a, const float* b, float* c,
                             int64_t k, int64_t m, int64_t n) {
-  ParallelFor(0, n, GrainForWork(2 * k * m), [=](int64_t lo, int64_t hi) {
-    MatMulTransAColsSimd(a, b, c, k, m, n, lo, hi);
+  ParallelFor(0, m, GrainForWork(2 * k * n), [=](int64_t lo, int64_t hi) {
+    MatMulTransARowsSimd(a, b, c, k, m, n, lo, hi);
   });
 }
 
@@ -430,11 +463,16 @@ void SimdBatchMatMulTransBKernel(const float* a, const float* b, float* c,
 void SimdBatchMatMulTransAKernel(const float* a, const float* b, float* c,
                                  int64_t batch, int64_t k, int64_t m,
                                  int64_t n) {
-  ParallelFor(0, batch, GrainForWork(2 * k * m * n),
+  ParallelFor(0, batch * m, GrainForWork(2 * k * n),
               [=](int64_t lo, int64_t hi) {
-                for (int64_t bi = lo; bi < hi; ++bi) {
-                  MatMulTransAColsSimd(a + bi * k * m, b + bi * k * n,
-                                       c + bi * m * n, k, m, n, 0, n);
+                while (lo < hi) {
+                  const int64_t bi = lo / m;
+                  const int64_t row0 = lo - bi * m;
+                  const int64_t rows = std::min(hi - lo, m - row0);
+                  MatMulTransARowsSimd(a + bi * k * m, b + bi * k * n,
+                                       c + bi * m * n, k, m, n, row0,
+                                       row0 + rows);
+                  lo += rows;
                 }
               });
 }

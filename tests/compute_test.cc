@@ -69,6 +69,26 @@ std::vector<KernelCase> ThreadInvariantKernelCases() {
          Dispatch().matmul_trans_a(a.data(), b.data(), c.data(), k, m, n);
          return c;
        }},
+      {"batch_matmul_trans_a 3x(k=64 m=32 n=40)",
+       [] {
+         const int64_t batch = 3, k = 64, m = 32, n = 40;
+         const auto a = RandomVec(batch * k * m, 35);
+         const auto b = RandomVec(batch * k * n, 36);
+         std::vector<float> c(batch * m * n, 0.0f);
+         Dispatch().batch_matmul_trans_a(a.data(), b.data(), c.data(), batch,
+                                         k, m, n);
+         return c;
+       }},
+      {"layer_norm_param_bwd rows=4096 d=32",
+       [] {
+         const int64_t rows = 4096, d = 32;
+         const auto g = RandomVec(rows * d, 37);
+         const auto xhat = RandomVec(rows * d, 38);
+         std::vector<float> out(2 * d, 0.0f);
+         Dispatch().layer_norm_param_bwd(g.data(), xhat.data(), out.data(),
+                                         out.data() + d, rows, d);
+         return out;
+       }},
       {"complex_mul 64x1024",
        [] {
          const int64_t repeats = 64, block = 1024;
@@ -268,6 +288,90 @@ TEST(KernelsTest, MatMulFamilyMatchesNaiveReference) {
 
 TEST(KernelsTest, MatMulBitIdenticalAcrossThreadCounts) {
   ExpectKernelsBitIdenticalAcrossThreadCounts("scalar");
+}
+
+/// C(m,n) += A(k,m)^T @ B(k,n) one element at a time: ascending k, zero A
+/// terms skipped, each step `acc + a*b` (fused = false) or
+/// `std::fma(a, b, acc)` (fused = true).
+std::vector<float> OrderedTransA(const float* a, const float* b,
+                                 std::vector<float> c, int64_t k, int64_t m,
+                                 int64_t n, bool fused) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[kk * m + i];
+        if (av == 0.0f) continue;
+        const float bv = b[kk * n + j];
+        acc = fused ? std::fma(av, bv, acc) : acc + av * bv;
+      }
+      c[i * n + j] = acc;
+    }
+  return c;
+}
+
+/// Holds `matmul_trans_a` and `batch_matmul_trans_a` of `backend` bit for
+/// bit to OrderedTransA at 1 and 4 threads. A quarter of A's entries are
+/// exact zeros: every row kk % 8 == 3 is all zero with Inf in the matching
+/// row of B, so a kernel that multiplies a zero term yields NaN; the other
+/// zeros are scattered at random. C starts non-zero (the kernels add).
+void ExpectTransAMatchesOrderedReference(const std::string& backend,
+                                         bool fused) {
+  BackendGuard guard;
+  SetKernelBackend(backend).value();
+  struct Shape {
+    int64_t k, m, n;
+  };
+  const Shape shapes[] = {{4096, 32, 32}, {4096, 32, 128}, {4096, 128, 32},
+                          {7, 1, 33},     {5, 3, 1},       {9, 5, 47}};
+  const int64_t batch = 2;
+  for (const Shape& s : shapes) {
+    const int64_t k = s.k, m = s.m, n = s.n;
+    std::vector<float> a = RandomVec(batch * k * m, 91 + k + m + n);
+    std::vector<float> b = RandomVec(batch * k * n, 92 + k + m + n);
+    const std::vector<float> c0 = RandomVec(batch * m * n, 93 + k + m + n);
+    Rng rng(94);
+    for (int64_t bi = 0; bi < batch; ++bi)
+      for (int64_t kk = 0; kk < k; ++kk)
+        for (int64_t i = 0; i < m; ++i) {
+          if (kk % 8 == 3 || rng.Uniform(7) == 0)
+            a[(bi * k + kk) * m + i] = 0.0f;
+        }
+    for (int64_t bi = 0; bi < batch; ++bi)
+      for (int64_t kk = 3; kk < k; kk += 8)
+        for (int64_t j = 0; j < n; ++j)
+          b[(bi * k + kk) * n + j] = INFINITY;
+    std::vector<float> ref;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const std::vector<float> item(c0.begin() + bi * m * n,
+                                    c0.begin() + (bi + 1) * m * n);
+      const std::vector<float> r = OrderedTransA(
+          a.data() + bi * k * m, b.data() + bi * k * n, item, k, m, n, fused);
+      ref.insert(ref.end(), r.begin(), r.end());
+    }
+    for (int threads : {1, 4}) {
+      ComputeContext ctx(threads);
+      const std::string where = backend + " k=" + std::to_string(k) +
+                                " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) +
+                                " threads=" + std::to_string(threads);
+      std::vector<float> c(c0.begin(), c0.begin() + m * n);
+      Dispatch().matmul_trans_a(a.data(), b.data(), c.data(), k, m, n);
+      EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                0)
+          << "matmul_trans_a " << where;
+      c = c0;
+      Dispatch().batch_matmul_trans_a(a.data(), b.data(), c.data(), batch, k,
+                                      m, n);
+      EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)),
+                0)
+          << "batch_matmul_trans_a " << where;
+    }
+  }
+}
+
+TEST(KernelsTest, TransAMatchesOrderedReference) {
+  ExpectTransAMatchesOrderedReference("scalar", /*fused=*/false);
 }
 
 TEST(KernelsTest, BatchMatMulSplitsAcrossItemBoundaries) {
@@ -491,6 +595,47 @@ TEST(KernelsTest, LayerNormNormalizesRowsAndParamGradsSum) {
   for (int64_t j = 0; j < d; ++j) EXPECT_EQ(dbeta2[j], dbeta[j]);
 }
 
+TEST(KernelsTest, LayerNormParamBwdMatchesOrderedReference) {
+  for (int64_t rows : {4096, 3})
+    for (int64_t d : {32, 1, 7}) {
+      const auto g = RandomVec(rows * d, 65 + rows + d);
+      const auto xhat = RandomVec(rows * d, 66 + rows + d);
+      const auto init = RandomVec(2 * d, 67 + rows + d);
+      // dgamma[i] += g*xhat and dbeta[i] += g over ascending r, in floats.
+      std::vector<float> ref_gamma(init.begin(), init.begin() + d);
+      std::vector<float> ref_beta(init.begin() + d, init.end());
+      for (int64_t i = 0; i < d; ++i)
+        for (int64_t r = 0; r < rows; ++r) {
+          ref_gamma[i] += g[r * d + i] * xhat[r * d + i];
+          ref_beta[i] += g[r * d + i];
+        }
+      for (int threads : {1, 4}) {
+        ComputeContext ctx(threads);
+        const std::string where = "rows=" + std::to_string(rows) +
+                                  " d=" + std::to_string(d) +
+                                  " threads=" + std::to_string(threads);
+        std::vector<float> dgamma(init.begin(), init.begin() + d);
+        std::vector<float> dbeta(init.begin() + d, init.end());
+        Dispatch().layer_norm_param_bwd(g.data(), xhat.data(), dgamma.data(),
+                                        dbeta.data(), rows, d);
+        EXPECT_EQ(std::memcmp(dgamma.data(), ref_gamma.data(),
+                              d * sizeof(float)),
+                  0)
+            << "dgamma " << where;
+        EXPECT_EQ(
+            std::memcmp(dbeta.data(), ref_beta.data(), d * sizeof(float)), 0)
+            << "dbeta " << where;
+        std::vector<float> dbeta_only(init.begin() + d, init.end());
+        Dispatch().layer_norm_param_bwd(g.data(), xhat.data(), nullptr,
+                                        dbeta_only.data(), rows, d);
+        EXPECT_EQ(std::memcmp(dbeta_only.data(), ref_beta.data(),
+                              d * sizeof(float)),
+                  0)
+            << "dbeta without dgamma " << where;
+      }
+    }
+}
+
 TEST(KernelsTest, AdamStepMatchesScalarReference) {
   const int64_t n = 29;
   auto w = RandomVec(n, 65);
@@ -659,6 +804,11 @@ TEST(SimdBackendTest, MatMulFamilyMatchesNaiveReference) {
 TEST(SimdBackendTest, MatMulBitIdenticalAcrossThreadCounts) {
   if (!SimdAvailable()) GTEST_SKIP() << "simd backend unavailable";
   ExpectKernelsBitIdenticalAcrossThreadCounts("simd");
+}
+
+TEST(SimdBackendTest, TransAMatchesOrderedReference) {
+  if (!SimdAvailable()) GTEST_SKIP() << "simd backend unavailable";
+  ExpectTransAMatchesOrderedReference("simd", /*fused=*/true);
 }
 
 TEST(SimdBackendTest, UnalignedOperandsMatchAlignedResults) {
